@@ -100,6 +100,11 @@ diff -u tests/data/server_session.golden /tmp/viva_server_smoke_tcp.ndjson
 echo '{"cmd":"shutdown"}' | target/release/viva-server-client --tcp "$ADDR" > /dev/null
 wait "$SRV_PID"
 cargo run --quiet --release -p viva-bench --bin fig_server -- --small > /dev/null
+# The same binary's wire mode: real loopback clients against the poll
+# loop (sequential and pipelined pings, idle connections), every reply
+# checked; the latency and idle-CPU gates are only asserted by the
+# full `--wire` run.
+cargo run --quiet --release -p viva-bench --bin fig_server -- --wire --small > /dev/null
 
 scale_smoke
 

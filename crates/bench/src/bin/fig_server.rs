@@ -37,13 +37,32 @@
 //! the pre-redesign 16-session baseline. `--small` is the CI smoke
 //! mode that keeps the correctness checks but skips timing claims and
 //! leaves the committed JSON alone.
+//!
+//! `--wire` measures the TCP transport instead, with real loopback
+//! clients against [`viva_server::serve_tcp`] on 2 shards, timed at the
+//! client:
+//!
+//! * **sequential ping p50/p99** — one `ping` in flight at a time;
+//! * **pipelined pings** — 2000 pings in one write, replies read back;
+//! * **idle CPU** — the process's CPU time (`getrusage`) over 2 s with
+//!   1024 open, quiet connections, as a share of one core. The clients
+//!   sleep meanwhile, so this is the server's idle cost.
+//!
+//! Full wire mode asserts the transport gates (sequential ping p99 ≤
+//! 0.15 ms, idle CPU < 1% of a core) and writes the `"wire"` row of
+//! `BENCH_server.json`, leaving the in-process rows as they are (and
+//! the in-process run keeps the wire row). `--wire --small` is the CI
+//! smoke: fewer pings and connections, replies checked, no gates.
 
+use std::fs;
+use std::io::{BufRead, BufReader, Write};
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use viva::Theme;
 use viva_server::protocol::Command;
-use viva_server::{Server, ServerLimits};
+use viva_server::{serve_tcp, Server, ServerLimits};
 use viva_trace::{ContainerKind, RecoveryMode, TraceBuilder};
 
 #[derive(Clone, Copy)]
@@ -295,8 +314,21 @@ fn run(n: usize, csv: &str, scale: &Scale) -> RunResult {
     }
 }
 
+/// Where both modes write their rows.
+const BENCH_FILE: &str = "BENCH_server.json";
+
+/// The line of `BENCH_server.json` the wire mode owns.
+const WIRE_KEY: &str = "  \"wire\": ";
+
+/// The line every other top-level row is inserted before.
+const RUNS_KEY: &str = "  \"runs\": [";
+
 fn main() {
     let small = std::env::args().any(|a| a == "--small");
+    if std::env::args().any(|a| a == "--wire") {
+        wire_main(small);
+        return;
+    }
     let scale = if small { SMALL } else { FULL };
     let csv = trace_csv(&scale);
     println!(
@@ -366,7 +398,15 @@ fn main() {
         MULTIPLEX_FROM,
         MULTIPLEX_ROUNDS
     ));
-    json.push_str(&format!("  \"throughput_scaling_1_to_4\": {scaling:.2},\n  \"runs\": [\n"));
+    json.push_str(&format!("  \"throughput_scaling_1_to_4\": {scaling:.2},\n"));
+    // The wire row comes from `--wire`; keep the committed one.
+    let previous = fs::read_to_string(BENCH_FILE).unwrap_or_default();
+    if let Some(wire) = previous.lines().find(|l| l.starts_with(WIRE_KEY)) {
+        json.push_str(wire);
+        json.push('\n');
+    }
+    json.push_str(RUNS_KEY);
+    json.push('\n');
     for (i, r) in results.iter().enumerate() {
         json.push_str(&format!(
             "    {{ \"sessions\": {}, \"commands_per_sec\": {:.0}, \"render_p50_ms\": {:.3}, \"render_p99_ms\": {:.3}, \"cached_render_p50_ms\": {:.4}, \"cached_render_p99_ms\": {:.4} }}{}\n",
@@ -380,6 +420,191 @@ fn main() {
         ));
     }
     json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_server.json", &json).expect("write BENCH_server.json");
-    println!("  [json] BENCH_server.json");
+    fs::write(BENCH_FILE, &json).expect("write BENCH_server.json");
+    println!("  [json] {BENCH_FILE}");
+}
+
+/// Sizes of one wire-mode run.
+struct WireScale {
+    sequential: usize,
+    pipelined: usize,
+    quiet: usize,
+    idle: Duration,
+}
+
+const WIRE_FULL: WireScale =
+    WireScale { sequential: 5000, pipelined: 2000, quiet: 1024, idle: Duration::from_secs(2) };
+const WIRE_SMALL: WireScale =
+    WireScale { sequential: 200, pipelined: 200, quiet: 64, idle: Duration::from_millis(200) };
+
+/// Shard workers behind the wire-mode listener.
+const WIRE_WORKERS: usize = 2;
+
+/// Gate: sequential `ping` p99 over loopback, milliseconds.
+const PING_P99_GATE_MS: f64 = 0.15;
+
+/// Gate: idle CPU with every quiet connection open, share of one core.
+const IDLE_CPU_GATE: f64 = 0.01;
+
+/// `struct timeval` and the leading fields of `struct rusage`, in the
+/// Linux layout.
+#[repr(C)]
+struct Timeval {
+    tv_sec: std::os::raw::c_long,
+    tv_usec: std::os::raw::c_long,
+}
+
+#[repr(C)]
+struct Rusage {
+    ru_utime: Timeval,
+    ru_stime: Timeval,
+    _rest: [std::os::raw::c_long; 14],
+}
+
+extern "C" {
+    fn getrusage(who: std::os::raw::c_int, usage: *mut Rusage) -> std::os::raw::c_int;
+}
+
+/// User plus system CPU time of this process so far.
+fn process_cpu() -> Duration {
+    const RUSAGE_SELF: std::os::raw::c_int = 0;
+    let mut ru = Rusage {
+        ru_utime: Timeval { tv_sec: 0, tv_usec: 0 },
+        ru_stime: Timeval { tv_sec: 0, tv_usec: 0 },
+        _rest: [0; 14],
+    };
+    // SAFETY: `ru` is a live, writable `struct rusage` for the call.
+    let rc = unsafe { getrusage(RUSAGE_SELF, &mut ru) };
+    assert_eq!(rc, 0, "getrusage failed");
+    let tv = |t: &Timeval| Duration::new(t.tv_sec as u64, t.tv_usec as u32 * 1000);
+    tv(&ru.ru_utime) + tv(&ru.ru_stime)
+}
+
+/// A loopback client connection, line-buffered for replies.
+fn wire_connect(addr: std::net::SocketAddr) -> BufReader<TcpStream> {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    stream.set_read_timeout(Some(Duration::from_secs(30))).expect("read timeout");
+    BufReader::new(stream)
+}
+
+/// Reads one reply line and checks it is a `pong`.
+fn read_pong(conn: &mut BufReader<TcpStream>, line: &mut String) {
+    line.clear();
+    conn.read_line(line).expect("read reply");
+    assert!(line.starts_with("{\"ok\":\"pong\""), "expected a pong, got {line:?}");
+}
+
+/// The TCP transport measured at the client: sequential and pipelined
+/// `ping` round trips, then idle CPU beside many quiet connections.
+fn wire_main(small: bool) {
+    let scale = if small { WIRE_SMALL } else { WIRE_FULL };
+    println!(
+        "Server over TCP: {WIRE_WORKERS} shards, {} sequential + {} pipelined pings, {} quiet connections ({} mode)",
+        scale.sequential,
+        scale.pipelined,
+        scale.quiet,
+        if small { "smoke" } else { "full" }
+    );
+    let server = Arc::new(Server::new(ServerLimits::default()));
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().expect("local addr");
+    let shards = serve_tcp(listener, WIRE_WORKERS, Arc::clone(&server));
+    let ping = format!("{}\n", Command::Ping.encode());
+    let mut conn = wire_connect(addr);
+    let mut line = String::new();
+
+    for _ in 0..100 {
+        conn.get_mut().write_all(ping.as_bytes()).expect("write ping");
+        read_pong(&mut conn, &mut line);
+    }
+    let mut rtt = Vec::with_capacity(scale.sequential);
+    for _ in 0..scale.sequential {
+        let t0 = Instant::now();
+        conn.get_mut().write_all(ping.as_bytes()).expect("write ping");
+        read_pong(&mut conn, &mut line);
+        rtt.push(t0.elapsed().as_secs_f64() * 1e3);
+    }
+    rtt.sort_by(|a, b| a.total_cmp(b));
+    let (p50, p99) = (percentile(&rtt, 50.0), percentile(&rtt, 99.0));
+    println!("  sequential ping: p50 {p50:.4} ms, p99 {p99:.4} ms");
+
+    let batch = ping.repeat(scale.pipelined);
+    let t0 = Instant::now();
+    conn.get_mut().write_all(batch.as_bytes()).expect("write pipelined pings");
+    for _ in 0..scale.pipelined {
+        read_pong(&mut conn, &mut line);
+    }
+    let pipelined_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let per_ping_us = pipelined_ms * 1e3 / scale.pipelined as f64;
+    println!(
+        "  {} pipelined pings: {pipelined_ms:.3} ms ({per_ping_us:.2} us each)",
+        scale.pipelined
+    );
+
+    // One ping each proves every quiet connection was accepted and is
+    // registered on a shard before the idle window opens.
+    let mut quiet: Vec<BufReader<TcpStream>> =
+        (0..scale.quiet).map(|_| wire_connect(addr)).collect();
+    for q in &mut quiet {
+        q.get_mut().write_all(ping.as_bytes()).expect("write ping");
+        read_pong(q, &mut line);
+    }
+    std::thread::sleep(Duration::from_millis(100));
+    let cpu0 = process_cpu();
+    let t0 = Instant::now();
+    std::thread::sleep(scale.idle);
+    let idle_cpu = (process_cpu() - cpu0).as_secs_f64() / t0.elapsed().as_secs_f64();
+    println!(
+        "  idle CPU with {} quiet connections: {:.3}% of a core",
+        scale.quiet,
+        idle_cpu * 100.0
+    );
+
+    conn.get_mut()
+        .write_all(format!("{}\n", Command::Shutdown.encode()).as_bytes())
+        .expect("write shutdown");
+    line.clear();
+    conn.read_line(&mut line).expect("shutdown reply");
+    for shard in shards {
+        shard.join().expect("shard exits after the drain");
+    }
+    drop(quiet);
+
+    if small {
+        println!("  smoke mode: every reply checked, timings not asserted");
+        return;
+    }
+    assert!(
+        p99 <= PING_P99_GATE_MS,
+        "sequential ping p99 {p99:.4} ms exceeds the {PING_P99_GATE_MS} ms gate"
+    );
+    assert!(
+        idle_cpu < IDLE_CPU_GATE,
+        "idle CPU {:.3}% of a core exceeds the {}% gate",
+        idle_cpu * 100.0,
+        IDLE_CPU_GATE * 100.0
+    );
+
+    let row = format!(
+        "{WIRE_KEY}{{ \"workers\": {WIRE_WORKERS}, \"sequential_pings\": {}, \"ping_p50_ms\": {p50:.4}, \"ping_p99_ms\": {p99:.4}, \"pipelined_pings\": {}, \"pipelined_ms\": {pipelined_ms:.3}, \"pipelined_us_per_ping\": {per_ping_us:.2}, \"quiet_connections\": {}, \"idle_window_s\": {}, \"idle_cpu_core_share\": {idle_cpu:.5}, \"gates\": {{ \"ping_p99_ms_max\": {PING_P99_GATE_MS}, \"idle_cpu_core_share_max\": {IDLE_CPU_GATE} }} }},",
+        scale.sequential,
+        scale.pipelined,
+        scale.quiet,
+        scale.idle.as_secs_f64(),
+    );
+    let previous =
+        fs::read_to_string(BENCH_FILE).expect("BENCH_server.json from the in-process run");
+    let mut json = String::new();
+    for l in previous.lines().filter(|l| !l.starts_with(WIRE_KEY)) {
+        if l == RUNS_KEY {
+            json.push_str(&row);
+            json.push('\n');
+        }
+        json.push_str(l);
+        json.push('\n');
+    }
+    assert!(json.contains(&row), "{BENCH_FILE} has no runs row to insert the wire row before");
+    fs::write(BENCH_FILE, &json).expect("write BENCH_server.json");
+    println!("  [json] {BENCH_FILE} (wire row)");
 }

@@ -126,7 +126,7 @@ impl Json {
     /// Parses one complete JSON value; trailing non-whitespace is an
     /// error (a request line is exactly one value).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser::new(text);
         p.skip_ws();
         let value = p.value(0)?;
         p.skip_ws();
@@ -153,24 +153,36 @@ fn write_number(n: f64, out: &mut String) {
     }
 }
 
+/// Writes `s` as a JSON string literal. Runs of characters that need
+/// no escaping are copied in bulk: every byte that needs an escape is
+/// ASCII, so a run always ends on a character boundary.
 fn write_string(s: &str, out: &mut String) {
+    out.reserve(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let named = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0x08 => Some("\\b"),
+            0x0c => Some("\\f"),
+            0x00..=0x1f => None,
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        match named {
+            Some(escape) => out.push_str(escape),
+            None => {
                 use fmt::Write;
-                let _ = write!(out, "\\u{:04x}", c as u32);
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -192,11 +204,16 @@ impl fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
+    fn new(text: &'a str) -> Parser<'a> {
+        Parser { text, bytes: text.as_bytes(), pos: 0 }
+    }
+
     fn err(&self, message: impl Into<String>) -> JsonError {
         JsonError { message: message.into(), offset: self.pos }
     }
@@ -336,13 +353,17 @@ impl<'a> Parser<'a> {
                     return Err(self.err("raw control character in string"))
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // bytes are valid UTF-8 by construction).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote, backslash or
+                    // control byte in one go. Those are all ASCII, so
+                    // the run ends on a character boundary of the
+                    // (valid UTF-8) input.
+                    let start = self.pos;
+                    let run = self.bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(self.bytes.len() - start);
+                    self.pos += run;
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -417,6 +438,7 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::{prop_oneof, Just, Strategy};
 
     #[test]
     fn parses_scalars() {
@@ -490,6 +512,179 @@ mod tests {
         let bomb = "[".repeat(100_000);
         let err = Json::parse(&bomb).unwrap_err();
         assert!(err.message.contains("deep"), "{err}");
+    }
+
+    /// The string decoder one character at a time: the specification
+    /// the run-copying [`Parser::string`] must match, value and error
+    /// (message and byte offset) alike. `text` starts with the opening
+    /// quote.
+    fn reference_string(text: &str) -> Result<String, JsonError> {
+        let fail = |message: &str, offset: usize| JsonError { message: message.to_owned(), offset };
+        let hex4 = |at: usize| {
+            let mut v = 0u32;
+            for k in 0..4 {
+                match text.as_bytes().get(at + k).and_then(|&b| (b as char).to_digit(16)) {
+                    Some(d) => v = v * 16 + d,
+                    None => return Err(fail("expected 4 hex digits", at + k)),
+                }
+            }
+            Ok(v)
+        };
+        let mut out = String::new();
+        let mut pos = 1;
+        loop {
+            let Some(c) = text[pos..].chars().next() else {
+                return Err(fail("unterminated string", pos));
+            };
+            match c {
+                '"' => return Ok(out),
+                '\\' => {
+                    let simple = match text[pos + 1..].chars().next() {
+                        Some('u') => None,
+                        Some('"') => Some('"'),
+                        Some('\\') => Some('\\'),
+                        Some('/') => Some('/'),
+                        Some('n') => Some('\n'),
+                        Some('r') => Some('\r'),
+                        Some('t') => Some('\t'),
+                        Some('b') => Some('\u{08}'),
+                        Some('f') => Some('\u{0c}'),
+                        _ => return Err(fail("invalid escape", pos + 1)),
+                    };
+                    if let Some(ch) = simple {
+                        out.push(ch);
+                        pos += 2;
+                        continue;
+                    }
+                    let hi = hex4(pos + 2)?;
+                    pos += 6;
+                    if (0xD800..0xDC00).contains(&hi) {
+                        if text[pos..].starts_with("\\u") {
+                            let lo = hex4(pos + 2)?;
+                            pos += 6;
+                            if (0xDC00..0xE000).contains(&lo) {
+                                let c = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+                                out.push(char::from_u32(c).unwrap());
+                                continue;
+                            }
+                        }
+                        return Err(fail("unpaired surrogate", pos));
+                    }
+                    match char::from_u32(hi) {
+                        Some(ch) => out.push(ch),
+                        None => return Err(fail("invalid \\u escape", pos)),
+                    }
+                }
+                c if (c as u32) < 0x20 => return Err(fail("raw control character in string", pos)),
+                c => {
+                    out.push(c);
+                    pos += c.len_utf8();
+                }
+            }
+        }
+    }
+
+    /// The string encoder one character at a time: the specification
+    /// the run-copying [`write_string`] must match byte for byte.
+    fn reference_encode(s: &str) -> String {
+        let mut out = String::from('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                '\u{08}' => out.push_str("\\b"),
+                '\u{0c}' => out.push_str("\\f"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    fn scalar(range: std::ops::Range<u32>) -> impl Strategy<Value = String> {
+        range.prop_map(|c| char::from_u32(c).map(String::from).unwrap_or_default())
+    }
+
+    /// Literal text: ASCII, multi-byte UTF-8 of every width, long runs.
+    fn text_fragment() -> impl Strategy<Value = String> {
+        prop_oneof![
+            scalar(0x20..0x7f),
+            scalar(0x80..0x800),
+            scalar(0x800..0xD800),
+            scalar(0x10000..0x110000),
+            (1usize..40).prop_map(|n| "plain ascii run ".repeat(n)),
+        ]
+    }
+
+    /// Every escape form, surrogate pairs included.
+    fn escape_fragment() -> impl Strategy<Value = String> {
+        prop_oneof![
+            prop_oneof![
+                Just("\\\"".to_owned()),
+                Just("\\\\".to_owned()),
+                Just("\\/".to_owned()),
+                Just("\\n".to_owned()),
+                Just("\\r".to_owned()),
+                Just("\\t".to_owned()),
+                Just("\\b".to_owned()),
+                Just("\\f".to_owned()),
+            ],
+            (0u32..0x10000).prop_map(|u| format!("\\u{u:04x}")),
+            (0u32..0x10000).prop_map(|u| format!("\\u{u:04X}")),
+            (0xD800u32..0xDC00, 0xDC00u32..0xE000)
+                .prop_map(|(hi, lo)| format!("\\u{hi:04x}\\u{lo:04x}")),
+        ]
+    }
+
+    /// One fragment of a string body: mostly well-formed text and
+    /// escapes, sometimes a raw control byte or an invalid escape that
+    /// must fail to decode.
+    fn fragment() -> impl Strategy<Value = String> {
+        let broken = prop_oneof![
+            scalar(0..0x20),
+            Just("\\q".to_owned()),
+            Just("\\u12g4".to_owned()),
+            Just("\\ud800x".to_owned()),
+            Just("\\ud800\\u0041".to_owned()),
+            Just("\\udc00".to_owned()),
+            Just("\\".to_owned()),
+        ];
+        prop_oneof![text_fragment(), text_fragment(), escape_fragment(), escape_fragment(), broken]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 512,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        #[test]
+        fn string_decode_matches_per_character_reference(
+            body in proptest::collection::vec(fragment(), 0..24),
+            closed in 0u8..4,
+        ) {
+            let mut text = format!("\"{}", body.concat());
+            if closed > 0 {
+                text.push('"');
+            }
+            let mut p = Parser::new(&text);
+            proptest::prop_assert_eq!(p.string(), reference_string(&text), "input {:?}", text);
+        }
+
+        #[test]
+        fn string_encode_matches_per_character_reference(
+            body in proptest::collection::vec(prop_oneof![fragment(), scalar(0..0x20)], 0..24),
+        ) {
+            let s = body.concat();
+            let mut out = String::new();
+            write_string(&s, &mut out);
+            proptest::prop_assert_eq!(&out, &reference_encode(&s));
+            proptest::prop_assert_eq!(Json::parse(&out), Ok(Json::Str(s)));
+        }
     }
 
     #[test]

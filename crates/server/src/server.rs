@@ -7,8 +7,9 @@
 //! * [`Server::serve`] pumps any `BufRead`/`Write` pair — the stdio
 //!   single-analyst mode;
 //! * [`serve_tcp`] runs an **event-driven readiness loop** over
-//!   non-blocking sockets (std-only — `set_nonblocking` plus a
-//!   sleep-backed poll shim, no external dependencies): `workers`
+//!   non-blocking sockets (unix-only, no external dependencies: each
+//!   shard blocks in `poll(2)` until a socket is ready, its wake
+//!   channel fires, or the nearest io deadline passes): `workers`
 //!   shard threads each own a set of connections with per-connection
 //!   read/write buffers, so one shard multiplexes hundreds of
 //!   connections and one syscall round drains every complete NDJSON
@@ -48,6 +49,7 @@ use std::collections::HashMap;
 use std::fs;
 use std::io::{self, BufRead, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
@@ -63,6 +65,7 @@ use viva_trace::{
 };
 
 use crate::checkpoint::{checkpoint_file_name, SessionCheckpoint};
+use crate::poll::{self, PollFd, POLLIN, POLLOUT};
 use crate::protocol::{Command, DeltaNode, ErrorKind, Push, Response, SessionStats, StatsBlock};
 use crate::registry::{LiveStream, ServerLimits, ServerSession, SessionRegistry, SessionSlot};
 use crate::store::{content_hash, hash_token, StoredTrace, TraceStore};
@@ -126,6 +129,57 @@ struct ConnTable {
     queues: HashMap<u64, Vec<String>>,
     /// Session name → subscribers.
     subs: HashMap<String, Vec<SubEntry>>,
+    /// Connection → index in `shards` of the TCP shard that owns it.
+    /// Connections of other transports are absent: they collect their
+    /// pushes after each command of their own.
+    owners: HashMap<u64, usize>,
+    /// The wake channel of every TCP shard serving this server.
+    shards: Vec<Arc<ShardWaker>>,
+}
+
+impl ConnTable {
+    /// Wakes the shard that owns `conn`, if a shard does.
+    fn wake_owner(&self, conn: u64) {
+        if let Some(&shard) = self.owners.get(&conn) {
+            self.shards[shard].wake();
+        }
+    }
+}
+
+/// One shard's wake channel: how work that arrives off the shard's
+/// thread (a push queued by another connection's append, a drain
+/// started on another shard) ends the shard's `poll`. Both ends live
+/// as long as the server, so a wake never writes to a closed socket,
+/// even after its shard has exited.
+#[derive(Debug)]
+struct ShardWaker {
+    /// A wake byte is in flight and the shard has not consumed it yet;
+    /// further wakes until then are free.
+    pending: AtomicBool,
+    tx: UnixStream,
+    /// The end in the shard's poll set.
+    rx: UnixStream,
+}
+
+impl ShardWaker {
+    fn wake(&self) {
+        if !self.pending.swap(true, Ordering::SeqCst) {
+            // Non-blocking; a full channel already holds a wake.
+            let _ = (&self.tx).write(&[1]);
+        }
+    }
+
+    /// Consumes every pending wake, on the shard's thread. Runs
+    /// *before* the tick scans any state: a wake raised after the
+    /// channel is emptied leaves a fresh byte behind, so the next
+    /// `poll` returns at once and no wakeup is lost. The flag is
+    /// cleared with a swap so the shard also sees everything the waker
+    /// published before raising it.
+    fn clear(&self) {
+        let mut sink = [0u8; 64];
+        while matches!((&self.rx).read(&mut sink), Ok(n) if n > 0) {}
+        self.pending.swap(false, Ordering::SeqCst);
+    }
 }
 
 /// Sheds one connection's push backlog: its queue is dropped and
@@ -478,11 +532,32 @@ impl Server {
     /// [`Server::handle_line_on`], drains [`Server::take_pushes`], and
     /// calls [`Server::close_conn`] when the connection ends.
     pub fn open_conn(&self) -> u64 {
+        self.register_conn(None)
+    }
+
+    /// [`Server::open_conn`] for a connection owned by TCP shard
+    /// `shard`, which is woken whenever a push is queued for it.
+    fn register_conn(&self, shard: Option<usize>) -> u64 {
         let mut tbl = self.conns();
         tbl.next_id += 1;
         let id = tbl.next_id;
         tbl.queues.insert(id, Vec::new());
+        if let Some(shard) = shard {
+            tbl.owners.insert(id, shard);
+        }
         id
+    }
+
+    /// Registers a TCP shard's wake channel, returning its index in
+    /// the table with the channel.
+    fn register_shard(&self) -> io::Result<(usize, Arc<ShardWaker>)> {
+        let (tx, rx) = UnixStream::pair()?;
+        tx.set_nonblocking(true)?;
+        rx.set_nonblocking(true)?;
+        let waker = Arc::new(ShardWaker { pending: AtomicBool::new(false), tx, rx });
+        let mut tbl = self.conns();
+        tbl.shards.push(Arc::clone(&waker));
+        Ok((tbl.shards.len() - 1, waker))
     }
 
     /// Unregisters a connection: its queue and subscriptions go with
@@ -490,6 +565,7 @@ impl Server {
     pub fn close_conn(&self, conn: u64) {
         let mut tbl = self.conns();
         let dropped = tbl.queues.remove(&conn).map_or(0, |q| q.len());
+        tbl.owners.remove(&conn);
         self.adjust_queued(-(dropped as isize));
         for entries in tbl.subs.values_mut() {
             entries.retain(|e| e.conn != conn);
@@ -524,16 +600,19 @@ impl Server {
 
     /// Queues one push line on every subscriber of `session`, shedding
     /// subscribers whose queues are full — an append never blocks on
-    /// (or waits for) a slow subscriber.
+    /// (or waits for) a slow subscriber. Then wakes the shards that own
+    /// the subscribers, once the pushes are visible to them.
     fn enqueue_push(&self, session: &str, seq: u64, line: &str) {
         let cap = self.registry.limits().subscriber_queue.max(1);
         let mut tbl = self.conns();
         let mut delta = 0isize;
         let mut shed_conns: Vec<u64> = Vec::new();
         let mut depth = 0usize;
+        let subscribers: Vec<u64>;
         {
             let ConnTable { queues, subs, .. } = &mut *tbl;
             let Some(entries) = subs.get_mut(session) else { return };
+            subscribers = entries.iter().map(|e| e.conn).collect();
             for e in entries.iter_mut() {
                 let Some(q) = queues.get_mut(&e.conn) else { continue };
                 if q.len() >= cap {
@@ -555,6 +634,9 @@ impl Server {
             shed += n;
         }
         self.adjust_queued(delta);
+        for conn in subscribers {
+            tbl.wake_owner(conn);
+        }
         drop(tbl);
         self.push_metrics(shed, depth);
     }
@@ -1076,6 +1158,9 @@ impl Server {
             self.note("server.drains");
             if self.recorder.is_enabled() {
                 self.recorder.event("server.drain", "begin");
+            }
+            for shard in &self.conns().shards {
+                shard.wake();
             }
         }
         let names = self.registry.names();
@@ -2015,6 +2100,33 @@ impl Conn {
             close_after_flush: false,
         }
     }
+
+    /// Whether the shard takes new requests (and pushes) from this
+    /// connection: not while it is closing, nor while the peer owes
+    /// reads of a full write buffer.
+    fn reading(&self) -> bool {
+        !self.close_after_flush && self.write_buf.len() < WRITE_HIGH_WATER
+    }
+
+    /// The `poll` events this connection waits for. Never empty: a
+    /// connection that stopped reading has bytes left to write, or
+    /// its tick already closed it.
+    fn interest(&self) -> i16 {
+        let mut events = 0;
+        if self.reading() {
+            events |= POLLIN;
+        }
+        if !self.write_buf.is_empty() {
+            events |= POLLOUT;
+        }
+        events
+    }
+
+    /// When the io timeout drops this connection unless a byte arrives
+    /// first. Closing connections only flush and carry no deadline.
+    fn deadline(&self, io_timeout: Option<Duration>) -> Option<Instant> {
+        io_timeout.filter(|_| !self.close_after_flush).map(|t| self.last_activity + t)
+    }
 }
 
 /// Serves `listener` with an event-driven readiness loop across
@@ -2027,13 +2139,15 @@ impl Conn {
 /// two analysts can connect separately and collaborate in one named
 /// session.
 ///
-/// Sockets are non-blocking throughout; readiness is emulated with a
-/// short sleep when a full tick makes no progress (a std-only poll
-/// shim — no external event API, same observable semantics). Once
-/// [`Command::Shutdown`] runs, each shard flushes what it owes,
-/// closes its connections, answers any backlog with one `overloaded`
-/// line each, and exits. Joining the returned handles is therefore a
-/// complete graceful shutdown.
+/// Between ticks a shard blocks in `poll(2)` on the listener, its
+/// connections and its wake channel, so a command's round trip costs
+/// its execution plus loopback, and a quiet shard uses no CPU. The
+/// wake channel ends the wait when work arrives from another thread:
+/// a push for one of the shard's subscribers, or a drain. The
+/// transport is unix-only. Once [`Command::Shutdown`] runs, each shard
+/// flushes what it owes, closes its connections, answers any backlog
+/// with one `overloaded` line each, and exits. Joining the returned
+/// handles is therefore a complete graceful shutdown.
 pub fn serve_tcp(
     listener: TcpListener,
     workers: usize,
@@ -2045,17 +2159,25 @@ pub fn serve_tcp(
         .map(|i| {
             let listener = Arc::clone(&listener);
             let server = Arc::clone(&server);
+            let (index, waker) = server.register_shard().expect("shard wake channel");
             thread::Builder::new()
                 .name(format!("viva-server-shard-{i}"))
-                .spawn(move || shard_loop(i as u16, &listener, &server))
+                .spawn(move || shard_loop(i as u16, &listener, &server, index, &waker))
                 .expect("spawn shard thread")
         })
         .collect()
 }
 
-/// One shard's readiness loop: accept, flush, read, execute — until
-/// the listener dies or a drain completes.
-fn shard_loop(shard: u16, listener: &TcpListener, server: &Server) {
+/// One shard's readiness loop: wait, accept, flush, read, execute —
+/// until the listener dies or a drain completes. `waker` is the shard's
+/// wake channel, at `index` in the server's connection table.
+fn shard_loop(
+    shard: u16,
+    listener: &TcpListener,
+    server: &Server,
+    index: usize,
+    waker: &ShardWaker,
+) {
     // Root spans of commands this worker executes carry its index.
     SHARD.set(shard);
     let io_timeout = server
@@ -2064,47 +2186,68 @@ fn shard_loop(shard: u16, listener: &TcpListener, server: &Server) {
         .io_timeout_ms
         .map(|ms| Duration::from_millis(ms.max(1)));
     let mut conns: Vec<Conn> = Vec::new();
+    let mut fds: Vec<PollFd> = Vec::new();
     let mut scratch = vec![0u8; 64 << 10];
     loop {
         if server.is_draining() {
             drain_shard(server, listener, &mut conns);
             return;
         }
-        let mut progressed = false;
-        for _ in 0..ACCEPT_BURST {
-            match listener.accept() {
-                Ok((stream, _addr)) => {
-                    if stream.set_nonblocking(true).is_ok() {
-                        conns.push(Conn::new(stream, server.open_conn()));
-                        progressed = true;
+        // Block until a socket is ready, a wake arrives, or the nearest
+        // io deadline passes; with no deadline, wait indefinitely.
+        fds.clear();
+        fds.push(PollFd::new(&waker.rx, POLLIN));
+        fds.push(PollFd::new(listener, POLLIN));
+        fds.extend(conns.iter().map(|c| PollFd::new(&c.stream, c.interest())));
+        let deadline = conns.iter().filter_map(|c| c.deadline(io_timeout)).min();
+        let timeout = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+        // A failed wait (never expected) degrades to a tick over
+        // everything rather than to a stalled shard.
+        let failed = poll::wait(&mut fds, timeout).is_err();
+        let woken = failed || fds[0].ready();
+        if woken {
+            waker.clear();
+        }
+        let polled = conns.len();
+        if failed || fds[1].ready() {
+            for _ in 0..ACCEPT_BURST {
+                match listener.accept() {
+                    Ok((stream, _addr)) => {
+                        if stream.set_nonblocking(true).is_ok() {
+                            conns.push(Conn::new(stream, server.register_conn(Some(index))));
+                        }
+                    }
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                    // The listener is gone; drop the shard's connections.
+                    Err(_) => {
+                        for conn in &conns {
+                            server.close_conn(conn.id);
+                        }
+                        return;
                     }
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                // The listener is gone; drop the shard's connections.
-                Err(_) => return,
             }
         }
-        let mut idx = 0;
-        while idx < conns.len() {
-            match pump_conn(server, &mut conns[idx], &mut scratch, io_timeout) {
-                (true, worked) => {
-                    progressed |= worked;
-                    idx += 1;
-                }
-                (false, worked) => {
-                    progressed |= worked;
-                    server.close_conn(conns[idx].id);
-                    conns.swap_remove(idx);
-                }
+        // Pump what is ready: a polled event, a wake (pushes may be
+        // owed to any connection), a passed deadline, or a connection
+        // accepted this tick. Walking backwards keeps `swap_remove`
+        // from moving an unvisited connection off its `fds` slot.
+        let now = Instant::now();
+        for idx in (0..conns.len()).rev() {
+            let due = woken
+                || idx >= polled
+                || fds[idx + 2].ready()
+                || conns[idx].deadline(io_timeout).is_some_and(|d| d <= now);
+            if !due {
+                continue;
+            }
+            if !pump_conn(server, &mut conns[idx], &mut scratch, io_timeout) {
+                server.close_conn(conns[idx].id);
+                conns.swap_remove(idx);
             }
             if server.is_draining() {
                 break; // handled at the top of the loop
             }
-        }
-        if !progressed {
-            // The poll shim: nothing readable, writable, or acceptable
-            // this tick — yield the CPU briefly instead of spinning.
-            thread::sleep(Duration::from_millis(1));
         }
     }
 }
@@ -2117,18 +2260,12 @@ fn drain_shard(server: &Server, listener: &TcpListener, conns: &mut Vec<Conn>) {
     for mut conn in conns.drain(..) {
         server.close_conn(conn.id);
         let give_up = Instant::now() + Duration::from_millis(250);
-        while !conn.write_buf.is_empty() && Instant::now() < give_up {
-            match conn.stream.write(&conn.write_buf) {
-                Ok(0) => break,
-                Ok(n) => {
-                    conn.write_buf.drain(..n);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    thread::sleep(Duration::from_millis(1));
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => break,
+        while flush_write(&mut conn) && !conn.write_buf.is_empty() {
+            let left = give_up.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
             }
+            let _ = poll::wait(&mut [PollFd::new(&conn.stream, POLLOUT)], Some(left));
         }
     }
     while let Ok((mut stream, _addr)) = listener.accept() {
@@ -2140,38 +2277,35 @@ fn drain_shard(server: &Server, listener: &TcpListener, conns: &mut Vec<Conn>) {
     }
 }
 
-/// One tick of one connection. Returns `(keep, made_progress)`.
+/// One tick of one connection. Returns whether to keep it.
 fn pump_conn(
     server: &Server,
     conn: &mut Conn,
     scratch: &mut [u8],
     io_timeout: Option<Duration>,
-) -> (bool, bool) {
-    let mut worked = false;
+) -> bool {
     // Flush first: pipelined clients read while we keep working, and
     // a response from a previous tick must not wait behind new reads.
-    if !flush_write(conn, &mut worked) {
-        return (false, worked);
+    if !flush_write(conn) {
+        return false;
     }
     // Read until the socket runs dry — unless the peer owes us reads
     // (write high-water backpressure) or is already closing.
     let mut eof = false;
-    if !conn.close_after_flush && conn.write_buf.len() < WRITE_HIGH_WATER {
+    if conn.reading() {
         loop {
             match conn.stream.read(scratch) {
                 Ok(0) => {
                     eof = true;
-                    worked = true;
                     break;
                 }
                 Ok(n) => {
                     conn.read_buf.extend_from_slice(&scratch[..n]);
                     conn.last_activity = Instant::now();
-                    worked = true;
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => return (false, true),
+                Err(_) => return false,
             }
         }
     }
@@ -2180,20 +2314,19 @@ fn pump_conn(
     if let Some(t) = io_timeout {
         if !conn.close_after_flush && !eof && conn.last_activity.elapsed() >= t {
             server.note("server.io_timeouts");
-            return (false, worked);
+            return false;
         }
     }
-    worked |= process_frames(server, conn);
+    process_frames(server, conn);
     // Drain queued subscription pushes (deltas published by *other*
     // connections' appends included) into the write buffer — but only
     // below the high-water mark: a subscriber that stops reading keeps
     // its pushes in the bounded queue, overflows it, and is shed with
     // `lagging`. Memory stays bounded and appenders never block.
-    if !conn.close_after_flush && conn.write_buf.len() < WRITE_HIGH_WATER {
+    if conn.reading() {
         for push in server.take_pushes(conn.id) {
             conn.write_buf.extend_from_slice(push.as_bytes());
             conn.write_buf.push(b'\n');
-            worked = true;
         }
     }
     if eof && !conn.close_after_flush {
@@ -2209,19 +2342,15 @@ fn pump_conn(
         }
         conn.close_after_flush = true;
     }
-    if !flush_write(conn, &mut worked) {
-        return (false, worked);
+    if !flush_write(conn) {
+        return false;
     }
-    if conn.close_after_flush && conn.write_buf.is_empty() {
-        return (false, worked);
-    }
-    (true, worked)
+    !(conn.close_after_flush && conn.write_buf.is_empty())
 }
 
 /// Executes every complete frame batched in `read_buf` — the
 /// pipelining payoff: one read syscall round, many commands answered.
-fn process_frames(server: &Server, conn: &mut Conn) -> bool {
-    let mut worked = false;
+fn process_frames(server: &Server, conn: &mut Conn) {
     let mut consumed = 0usize;
     let mut rest_has_no_newline = false;
     loop {
@@ -2231,7 +2360,6 @@ fn process_frames(server: &Server, conn: &mut Conn) -> bool {
             break;
         };
         let end = search_from + rel;
-        worked = true;
         match std::str::from_utf8(&conn.read_buf[consumed..=end]) {
             Ok(text) => {
                 if let Some(response) = server.handle_line_on(Some(conn.id), text) {
@@ -2277,20 +2405,17 @@ fn process_frames(server: &Server, conn: &mut Conn) -> bool {
         conn.read_buf.clear();
         conn.scan_from = 0;
         conn.close_after_flush = true;
-        worked = true;
     }
-    worked
 }
 
 /// Drains `write_buf` into the socket as far as it will go without
 /// blocking. Returns `false` when the connection is dead.
-fn flush_write(conn: &mut Conn, worked: &mut bool) -> bool {
+fn flush_write(conn: &mut Conn) -> bool {
     while !conn.write_buf.is_empty() {
         match conn.stream.write(&conn.write_buf) {
             Ok(0) => return false,
             Ok(n) => {
                 conn.write_buf.drain(..n);
-                *worked = true;
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
