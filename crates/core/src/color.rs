@@ -16,7 +16,20 @@ pub struct Color {
 impl Color {
     /// CSS hex form, `#rrggbb`.
     pub fn hex(self) -> String {
-        format!("#{:02x}{:02x}{:02x}", self.r, self.g, self.b)
+        let mut out = String::with_capacity(7);
+        self.push_hex(&mut out);
+        out
+    }
+
+    /// Appends the CSS hex form, `#rrggbb`, to `out` — [`Color::hex`]
+    /// without the allocation, for encoders that write one buffer.
+    pub fn push_hex(self, out: &mut String) {
+        const DIGITS: &[u8; 16] = b"0123456789abcdef";
+        out.push('#');
+        for byte in [self.r, self.g, self.b] {
+            out.push(char::from(DIGITS[usize::from(byte >> 4)]));
+            out.push(char::from(DIGITS[usize::from(byte & 0xf)]));
+        }
     }
 }
 
@@ -53,6 +66,9 @@ mod tests {
     #[test]
     fn hex_formats_lowercase() {
         assert_eq!(Color { r: 255, g: 0, b: 16 }.hex(), "#ff0010");
+        for c in [account_color(3), kind_color(ContainerKind::Host), Color { r: 10, g: 171, b: 0 }] {
+            assert_eq!(c.hex(), format!("#{:02x}{:02x}{:02x}", c.r, c.g, c.b));
+        }
     }
 
     #[test]

@@ -54,109 +54,386 @@ pub struct LodCut {
     pub culled: usize,
 }
 
-/// Computes the cut for one frame.
+/// The camera-independent half of the cut: frontier positions, their
+/// bounds, and the bbox/count of the frontier positions below each
+/// container. None of it changes while the layout stands still, so a
+/// session builds it once per layout generation (see DESIGN.md §17)
+/// and every camera frame only [walks](LodGeometry::cut) it.
 ///
-/// * `frontier` — the visible frontier (the collapse state's output);
-/// * `position` — world coordinates per frontier container;
-/// * `to_screen` — the frame's world→canvas projection (camera
-///   applied). It must preserve axis order (positive uniform scale);
-/// * `canvas_w`/`canvas_h` — canvas size in pixels;
-/// * `detail_px` — readability threshold: an expanded subtree of two
-///   or more frontier nodes is tiled when its projected extent is
-///   below this, or when its projected footprint gives each node less
-///   than `detail_px²` of canvas area. `0.0` disables resolution
-///   tiling (only fully-offscreen subtrees tile).
-///
-/// The walk starts at the tree root and descends only through
-/// subtrees that are partly on screen and large enough to resolve;
-/// everything else becomes a [`TileSeed`]. A frontier node reached by
-/// the walk is always kept (a single node is always readable), so
-/// with an identity camera and `detail_px = 0` the cut keeps the
-/// whole frontier — the byte-identity guarantee of the legacy render
-/// path rests on that.
-pub fn cut(
-    tree: &ContainerTree,
-    frontier: &[ContainerId],
-    position: &dyn Fn(ContainerId) -> Vec2,
-    to_screen: &dyn Fn(Vec2) -> Vec2,
-    canvas_w: f64,
-    canvas_h: f64,
-    detail_px: f64,
-) -> LodCut {
-    let n = tree.len();
-    // Per-container bbox + count of frontier positions, accumulated up
-    // the ancestor chains: O(frontier × depth), dense-indexed.
-    let mut lo = vec![Vec2::new(f64::INFINITY, f64::INFINITY); n];
-    let mut hi = vec![Vec2::new(f64::NEG_INFINITY, f64::NEG_INFINITY); n];
-    let mut count = vec![0usize; n];
-    let mut on_frontier = vec![false; n];
-    for &c in frontier {
-        on_frontier[c.index()] = true;
-        let p = position(c);
-        let mut cur = Some(c);
-        while let Some(g) = cur {
-            let i = g.index();
+/// For the walk, each container's children are split in two: the
+/// grouping children with frontier members below them (descended like
+/// the root), and the frontier-leaf children, kept sorted by world x so
+/// a frame tests only those whose projected x falls inside the canvas.
+#[derive(Debug)]
+pub(crate) struct LodGeometry {
+    /// World position per container index (frontier entries only).
+    position: Vec<Vec2>,
+    /// Bounding box of the frontier positions, folded in frontier
+    /// order; `None` for an empty frontier.
+    bounds: Option<(Vec2, Vec2)>,
+    lo: Vec<Vec2>,
+    hi: Vec<Vec2>,
+    count: Vec<usize>,
+    on_frontier: Vec<bool>,
+    /// Children the walk descends into, per container, as offsets into
+    /// `inner`: `inner[inner_start[i]..inner_start[i + 1]]`.
+    inner_start: Vec<usize>,
+    inner: Vec<ContainerId>,
+    /// Frontier-leaf children per container with their world x, sorted
+    /// by it, as offsets into `leaf`.
+    leaf_start: Vec<usize>,
+    leaf: Vec<(f64, ContainerId)>,
+}
+
+impl LodGeometry {
+    /// Builds the geometry of `frontier` (the collapse state's visible
+    /// set) placed at `position`, a table indexed by container index.
+    pub(crate) fn new(tree: &ContainerTree, frontier: &[ContainerId], position: Vec<Vec2>) -> LodGeometry {
+        const INNER: u8 = 1;
+        const LEAF: u8 = 2;
+        let n = tree.len();
+        let at = |c: ContainerId| position.get(c.index()).copied().unwrap_or_default();
+        let mut bounds: Option<(Vec2, Vec2)> = None;
+        let mut lo = vec![Vec2::new(f64::INFINITY, f64::INFINITY); n];
+        let mut hi = vec![Vec2::new(f64::NEG_INFINITY, f64::NEG_INFINITY); n];
+        let mut count = vec![0usize; n];
+        let mut on_frontier = vec![false; n];
+        for &c in frontier {
+            let p = at(c);
+            bounds = Some(match bounds {
+                None => (p, p),
+                Some((lo, hi)) => (lo.min(p), hi.max(p)),
+            });
+            let i = c.index();
+            on_frontier[i] = true;
             lo[i] = lo[i].min(p);
             hi[i] = hi[i].max(p);
             count[i] += 1;
-            cur = tree.node(g).parent();
+        }
+        // Bbox and count of the frontier positions below each
+        // container, folded bottom-up: a parent's id is always below
+        // its children's, so one pass in reverse id order sees every
+        // child before its parent. The same pass sorts each child with
+        // members into its parent's walk lists: a frontier node with a
+        // single member is a leaf (always, when the frontier is an
+        // antichain, as the collapse state's is), anything else with
+        // members is descended.
+        let mut parent = vec![0usize; n];
+        let mut class = vec![0u8; n];
+        let mut inner_start = vec![0usize; n + 1];
+        let mut leaf_start = vec![0usize; n + 1];
+        for i in (0..n).rev() {
+            let Some(up) = tree.node(ContainerId::from_index(i)).parent() else { continue };
+            if count[i] == 0 {
+                continue;
+            }
+            let p = up.index();
+            parent[i] = p;
+            lo[p] = lo[p].min(lo[i]);
+            hi[p] = hi[p].max(hi[i]);
+            count[p] += count[i];
+            if on_frontier[i] && count[i] == 1 {
+                class[i] = LEAF;
+                leaf_start[p + 1] += 1;
+            } else {
+                class[i] = INNER;
+                inner_start[p + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            inner_start[i + 1] += inner_start[i];
+            leaf_start[i + 1] += leaf_start[i];
+        }
+        let mut inner = vec![tree.root(); inner_start[n]];
+        let mut leaf = vec![(0.0, tree.root()); leaf_start[n]];
+        let (mut inner_fill, mut leaf_fill) = (inner_start.clone(), leaf_start.clone());
+        for i in 0..n {
+            let p = parent[i];
+            let c = ContainerId::from_index(i);
+            match class[i] {
+                INNER => {
+                    inner[inner_fill[p]] = c;
+                    inner_fill[p] += 1;
+                }
+                LEAF => {
+                    leaf[leaf_fill[p]] = (at(c).x, c);
+                    leaf_fill[p] += 1;
+                }
+                _ => {}
+            }
+        }
+        for i in 0..n {
+            leaf[leaf_start[i]..leaf_start[i + 1]].sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+        }
+        LodGeometry {
+            position,
+            bounds,
+            lo,
+            hi,
+            count,
+            on_frontier,
+            inner_start,
+            inner,
+            leaf_start,
+            leaf,
         }
     }
 
-    let mut keep = Vec::new();
-    let mut tiles = Vec::new();
-    let mut culled = 0usize;
-    let mut stack = vec![tree.root()];
-    while let Some(c) = stack.pop() {
-        let i = c.index();
-        if count[i] == 0 {
-            continue; // no visible member anywhere below
-        }
-        let seed = |offscreen| TileSeed { root: c, nodes: count[i], lo: lo[i], hi: hi[i], offscreen };
-        let a = to_screen(lo[i]);
-        // Single-member bbox is a point: one projection suffices, and
-        // at deep zoom the walk reaches every frontier leaf.
-        let b = if count[i] == 1 { a } else { to_screen(hi[i]) };
-        if b.x < 0.0 || b.y < 0.0 || a.x > canvas_w || a.y > canvas_h {
-            // A whole offscreen subtree is worth one summary tile; a
-            // single offscreen frontier node inside a partly-visible
-            // subtree is just culled (see [`LodCut::culled`]).
-            if on_frontier[i] {
-                culled += 1;
-            } else {
-                tiles.push(seed(true));
+    /// World position of a frontier container.
+    pub(crate) fn position(&self, c: ContainerId) -> Vec2 {
+        self.position.get(c.index()).copied().unwrap_or_default()
+    }
+
+    /// Bounding box of the frontier positions (`None` when empty) —
+    /// what the frame's projection is fitted to.
+    pub(crate) fn bounds(&self) -> Option<(Vec2, Vec2)> {
+        self.bounds
+    }
+
+    /// Computes the cut for one frame.
+    ///
+    /// * `to_screen` — the frame's world→canvas projection (camera
+    ///   applied). It must be a positive uniform scale plus offset, so
+    ///   it preserves axis order;
+    /// * `canvas_w`/`canvas_h` — canvas size in pixels;
+    /// * `detail_px` — readability threshold: an expanded subtree of
+    ///   two or more frontier nodes is tiled when its projected extent
+    ///   is below this, or when its projected footprint gives each node
+    ///   less than `detail_px²` of canvas area. `0.0` disables
+    ///   resolution tiling (only fully-offscreen subtrees tile).
+    ///
+    /// The walk starts at the tree root and descends only through
+    /// subtrees that are partly on screen and large enough to resolve;
+    /// everything else becomes a [`TileSeed`]. A frontier node reached
+    /// by the walk is always kept if on screen (a single node is always
+    /// readable), so with an identity camera and `detail_px = 0` the
+    /// cut keeps the whole frontier — the byte-identity guarantee of
+    /// the legacy render path rests on that.
+    ///
+    /// Frontier-leaf children of a descended container are tested only
+    /// inside the `partition_point` range of their projected x that
+    /// lies on the canvas; the rest are culled without a test. As
+    /// projected x is monotone in world x, the range holds exactly the
+    /// leaves the per-node test would not reject on x.
+    pub(crate) fn cut(
+        &self,
+        tree: &ContainerTree,
+        to_screen: &dyn Fn(Vec2) -> Vec2,
+        canvas_w: f64,
+        canvas_h: f64,
+        detail_px: f64,
+    ) -> LodCut {
+        let offscreen = |a: Vec2, b: Vec2| b.x < 0.0 || b.y < 0.0 || a.x > canvas_w || a.y > canvas_h;
+        let screen_x = |x: f64| to_screen(Vec2::new(x, 0.0)).x;
+        let mut keep = Vec::new();
+        let mut tiles = Vec::new();
+        let mut culled = 0usize;
+        let mut stack = vec![tree.root()];
+        while let Some(c) = stack.pop() {
+            let i = c.index();
+            let count = self.count[i];
+            if count == 0 {
+                continue; // no visible member anywhere below
             }
-            continue;
-        }
-        if on_frontier[i] {
-            keep.push(c);
-            continue;
-        }
-        if count[i] >= 2 {
-            let (w, h) = (b.x - a.x, b.y - a.y);
-            // Footprint area for the density test: a thin line of
-            // nodes is still readable if spacing along it is, so each
-            // dimension counts as at least one glyph.
-            let area = w.max(detail_px) * h.max(detail_px);
-            if w.max(h) < detail_px || (count[i] as f64) * detail_px * detail_px > area {
-                tiles.push(seed(false));
+            let (lo, hi) = (self.lo[i], self.hi[i]);
+            let seed = |offscreen| TileSeed { root: c, nodes: count, lo, hi, offscreen };
+            let a = to_screen(lo);
+            // Single-member bbox is a point: one projection suffices.
+            let b = if count == 1 { a } else { to_screen(hi) };
+            if offscreen(a, b) {
+                // A whole offscreen subtree is worth one summary tile; a
+                // single offscreen frontier node inside a partly-visible
+                // subtree is just culled (see [`LodCut::culled`]).
+                if self.on_frontier[i] {
+                    culled += 1;
+                } else {
+                    tiles.push(seed(true));
+                }
                 continue;
             }
+            if self.on_frontier[i] {
+                keep.push(c);
+                continue;
+            }
+            if count >= 2 {
+                let (w, h) = (b.x - a.x, b.y - a.y);
+                // Footprint area for the density test: a thin line of
+                // nodes is still readable if spacing along it is, so each
+                // dimension counts as at least one glyph.
+                let area = w.max(detail_px) * h.max(detail_px);
+                if w.max(h) < detail_px || (count as f64) * detail_px * detail_px > area {
+                    tiles.push(seed(false));
+                    continue;
+                }
+            }
+            stack.extend_from_slice(&self.inner[self.inner_start[i]..self.inner_start[i + 1]]);
+            let leaves = &self.leaf[self.leaf_start[i]..self.leaf_start[i + 1]];
+            let first = leaves.partition_point(|&(x, _)| screen_x(x) < 0.0);
+            // Negated like the per-node test, so a NaN projection (an
+            // overflowing zoom) stays in the range and meets that test.
+            #[allow(clippy::neg_cmp_op_on_partial_ord)]
+            let last = first + leaves[first..].partition_point(|&(x, _)| !(screen_x(x) > canvas_w));
+            culled += leaves.len() - (last - first);
+            for &(_, leaf) in &leaves[first..last] {
+                let a = to_screen(self.position(leaf));
+                if offscreen(a, a) {
+                    culled += 1;
+                } else {
+                    keep.push(leaf);
+                }
+            }
         }
-        for &child in tree.node(c).children() {
-            stack.push(child);
-        }
+        keep.sort();
+        tiles.sort_by_key(|t| t.root);
+        LodCut { keep, tiles, culled }
     }
-    keep.sort();
-    tiles.sort_by_key(|t| t.root);
-    LodCut { keep, tiles, culled }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use viva_agg::ViewState;
     use viva_trace::ContainerKind;
+
+    /// The cut as one per-node pass with no cached geometry and no
+    /// window bound: every container's bbox accumulated up the
+    /// ancestor chains, then every child pushed and tested on its own.
+    /// The oracle [`LodGeometry::cut`] must match exactly.
+    fn per_node_cut(
+        tree: &ContainerTree,
+        frontier: &[ContainerId],
+        position: &dyn Fn(ContainerId) -> Vec2,
+        to_screen: &dyn Fn(Vec2) -> Vec2,
+        canvas_w: f64,
+        canvas_h: f64,
+        detail_px: f64,
+    ) -> LodCut {
+        let n = tree.len();
+        let mut lo = vec![Vec2::new(f64::INFINITY, f64::INFINITY); n];
+        let mut hi = vec![Vec2::new(f64::NEG_INFINITY, f64::NEG_INFINITY); n];
+        let mut count = vec![0usize; n];
+        let mut on_frontier = vec![false; n];
+        for &c in frontier {
+            on_frontier[c.index()] = true;
+            let p = position(c);
+            let mut cur = Some(c);
+            while let Some(g) = cur {
+                let i = g.index();
+                lo[i] = lo[i].min(p);
+                hi[i] = hi[i].max(p);
+                count[i] += 1;
+                cur = tree.node(g).parent();
+            }
+        }
+        let mut keep = Vec::new();
+        let mut tiles = Vec::new();
+        let mut culled = 0usize;
+        let mut stack = vec![tree.root()];
+        while let Some(c) = stack.pop() {
+            let i = c.index();
+            if count[i] == 0 {
+                continue;
+            }
+            let seed = |offscreen| TileSeed { root: c, nodes: count[i], lo: lo[i], hi: hi[i], offscreen };
+            let a = to_screen(lo[i]);
+            let b = if count[i] == 1 { a } else { to_screen(hi[i]) };
+            if b.x < 0.0 || b.y < 0.0 || a.x > canvas_w || a.y > canvas_h {
+                if on_frontier[i] {
+                    culled += 1;
+                } else {
+                    tiles.push(seed(true));
+                }
+                continue;
+            }
+            if on_frontier[i] {
+                keep.push(c);
+                continue;
+            }
+            if count[i] >= 2 {
+                let (w, h) = (b.x - a.x, b.y - a.y);
+                let area = w.max(detail_px) * h.max(detail_px);
+                if w.max(h) < detail_px || (count[i] as f64) * detail_px * detail_px > area {
+                    tiles.push(seed(false));
+                    continue;
+                }
+            }
+            stack.extend_from_slice(tree.node(c).children());
+        }
+        keep.sort();
+        tiles.sort_by_key(|t| t.root);
+        LodCut { keep, tiles, culled }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// The window-bounded walk over cached geometry selects
+        /// exactly what the per-node pass selects, for random trees,
+        /// collapse states, layouts (ties and clusters included) and
+        /// cameras — frames reuse one geometry.
+        #[test]
+        fn window_bounded_walk_matches_the_per_node_cut(
+            shape in proptest::collection::vec(1usize..12, 1..6),
+            collapsed in proptest::collection::vec(0u8..2, 6),
+            xs in proptest::collection::vec(-8i32..8, 80),
+            ys in proptest::collection::vec(-50.0f64..50.0, 80),
+            frames in proptest::collection::vec(
+                (0.01f64..40.0, -400.0f64..400.0, -400.0f64..400.0, 0.0f64..30.0), 1..4),
+        ) {
+            let mut t = ContainerTree::new();
+            let mut clusters = Vec::new();
+            for (ci, &hosts) in shape.iter().enumerate() {
+                let cl = t.add(t.root(), format!("c{ci}"), ContainerKind::Cluster).unwrap();
+                clusters.push(cl);
+                for hi in 0..hosts {
+                    t.add(cl, format!("c{ci}h{hi}"), ContainerKind::Host).unwrap();
+                }
+            }
+            let mut state = ViewState::new();
+            for (cl, &flag) in clusters.iter().zip(&collapsed) {
+                if flag == 1 {
+                    state.collapse(*cl);
+                }
+            }
+            let frontier = state.visible(&t);
+            // Coarse x grid: many leaves share one x.
+            let pos = |c: ContainerId| {
+                let i = c.index() % xs.len();
+                Vec2::new(f64::from(xs[i]) * 12.5, ys[i])
+            };
+            let mut table = vec![Vec2::default(); t.len()];
+            for &c in &frontier {
+                table[c.index()] = pos(c);
+            }
+            let geometry = LodGeometry::new(&t, &frontier, table);
+            for &(scale, ox, oy, detail) in &frames {
+                let proj = |p: Vec2| p * scale + Vec2::new(ox, oy);
+                prop_assert_eq!(
+                    geometry.cut(&t, &proj, 320.0, 200.0, detail),
+                    per_node_cut(&t, &frontier, &pos, &proj, 320.0, 200.0, detail)
+                );
+            }
+        }
+    }
+
+    /// One frame's cut from a position function: geometry built, then
+    /// walked once.
+    fn cut(
+        tree: &ContainerTree,
+        frontier: &[ContainerId],
+        position: &dyn Fn(ContainerId) -> Vec2,
+        to_screen: &dyn Fn(Vec2) -> Vec2,
+        canvas_w: f64,
+        canvas_h: f64,
+        detail_px: f64,
+    ) -> LodCut {
+        let mut table = vec![Vec2::default(); tree.len()];
+        for &c in frontier {
+            table[c.index()] = position(c);
+        }
+        LodGeometry::new(tree, frontier, table).cut(tree, to_screen, canvas_w, canvas_h, detail_px)
+    }
 
     /// root → (c1 → h0,h1 tight at x≈0 ; c2 → h2,h3 spread at x≈100).
     fn tree() -> (ContainerTree, Vec<ContainerId>) {

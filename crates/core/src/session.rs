@@ -26,7 +26,7 @@ use viva_obs::{Counter, Histogram, Recorder};
 use viva_platform::Platform;
 use viva_trace::{ContainerId, MetricId, Trace, TraceError};
 
-use crate::lod;
+use crate::lod::LodGeometry;
 use crate::mapping::MappingConfig;
 use crate::scaling::ScalingConfig;
 use crate::svg;
@@ -141,6 +141,14 @@ pub struct AnalysisSession {
     /// Monotonically increasing view revision; see
     /// [`revision`](AnalysisSession::revision).
     revision: u64,
+    /// Bumped on every change to layout positions or to the frontier —
+    /// the key of `geometry`. Slice, slider and mapping changes leave
+    /// it alone.
+    geometry_generation: u64,
+    /// The level-of-detail frame geometry of one geometry generation,
+    /// built by the first camera frame after a change and walked by
+    /// every frame until the next (DESIGN.md §17).
+    geometry: RefCell<Option<(u64, Arc<LodGeometry>)>>,
     /// The observability recorder this session (and its index + layout)
     /// reports into; disabled by default.
     recorder: Recorder,
@@ -343,6 +351,8 @@ impl SessionBuilder {
             index,
             cache: RefCell::new(HashMap::new()),
             revision: 0,
+            geometry_generation: 0,
+            geometry: RefCell::new(None),
             recorder,
             obs,
             trace,
@@ -458,6 +468,14 @@ impl AnalysisSession {
     /// Records a state change that may affect subsequent views.
     fn touch(&mut self) {
         self.revision += 1;
+    }
+
+    /// Records a change to layout positions or to the frontier: the
+    /// next camera frame rebuilds the level-of-detail geometry. Called
+    /// by `relax`, `drag`, `release`, `layout_mut` and `apply_state`
+    /// (so by every collapse/expand/level jump and by `rebase`).
+    fn touch_geometry(&mut self) {
+        self.geometry_generation += 1;
     }
 
     /// Forces the view revision to `revision`, dropping every cached
@@ -698,8 +716,10 @@ impl AnalysisSession {
     }
 
     /// Direct access to the layout engine (pinning, dragging,
-    /// stepping).
+    /// stepping). Like the view revision, the level-of-detail geometry
+    /// counts the borrow as a change.
     pub fn layout_mut(&mut self) -> &mut LayoutEngine {
+        self.touch_geometry();
         self.touch();
         &mut self.layout
     }
@@ -845,6 +865,7 @@ impl AnalysisSession {
         }
         self.frontier = new_frontier;
         self.sync_edges();
+        self.touch_geometry();
     }
 
     /// Rebuilds the layout's edge set from the leaf relationships
@@ -887,6 +908,7 @@ impl AnalysisSession {
             if let Some(obs) = &self.obs {
                 obs.relax_steps.add(executed as u64);
             }
+            self.touch_geometry();
             self.touch();
         }
         executed
@@ -960,6 +982,7 @@ impl AnalysisSession {
             return Err(SessionError::HiddenContainer(container));
         }
         self.layout.pin(k);
+        self.touch_geometry();
         self.touch();
         Ok(())
     }
@@ -972,6 +995,7 @@ impl AnalysisSession {
         if !self.layout.unpin(key(container)) {
             return Err(SessionError::HiddenContainer(container));
         }
+        self.touch_geometry();
         self.touch();
         Ok(())
     }
@@ -1021,6 +1045,33 @@ impl AnalysisSession {
         }
     }
 
+    /// The level-of-detail geometry of the current layout generation,
+    /// built on the first camera frame after a change to positions or
+    /// to the frontier.
+    fn lod_geometry(&self) -> Arc<LodGeometry> {
+        let mut slot = self.geometry.borrow_mut();
+        if let Some((generation, geometry)) = &*slot {
+            if *generation == self.geometry_generation {
+                return Arc::clone(geometry);
+            }
+        }
+        let _phase = self.recorder.tracer().phase("lod.geometry");
+        let tree = self.trace.containers();
+        // A dense position table: the bounds fold, the bbox
+        // accumulation, the cut and the scene build all read
+        // positions, and at 100k hosts a layout map lookup per read
+        // would dominate.
+        let mut position = vec![Vec2::default(); tree.len()];
+        for (k, p) in self.layout.positions() {
+            if let Some(slot) = position.get_mut(k.0 as usize) {
+                *slot = p;
+            }
+        }
+        let geometry = Arc::new(LodGeometry::new(tree, &self.frontier, position));
+        *slot = Some((self.geometry_generation, Arc::clone(&geometry)));
+        geometry
+    }
+
     /// Builds the level-of-detail scene and the projection it was cut
     /// against. The projection fits the **full** frontier bounds (so
     /// an identity camera reproduces the classic framing bit for bit)
@@ -1028,32 +1079,12 @@ impl AnalysisSession {
     /// would shift the frame.
     fn lod_scene(&self, camera: &Camera, viewport: &Viewport) -> (GraphView, svg::Projection) {
         let opts = svg::SvgOptions::from(viewport);
-        let tree = self.trace.containers();
-        // Memoize frontier positions into a dense table: the bounds
-        // fold, the cut's bbox accumulation, and the scene build all
-        // read positions, and at 100k hosts the per-call layout map
-        // lookup dominates the frame otherwise.
-        let mut memo = vec![Vec2::default(); tree.len()];
-        for (k, p) in self.layout.positions() {
-            if let Some(slot) = memo.get_mut(k.0 as usize) {
-                *slot = p;
-            }
-        }
-        let position = |c: ContainerId| memo.get(c.index()).copied().unwrap_or_default();
-        let bounds = self.frontier.iter().fold(None, |acc: Option<(Vec2, Vec2)>, &c| {
-            let p = position(c);
-            Some(match acc {
-                None => (p, p),
-                Some((lo, hi)) => (lo.min(p), hi.max(p)),
-            })
-        });
-        let proj = svg::Projection::fit_camera(bounds, &opts, camera);
+        let geometry = self.lod_geometry();
+        let proj = svg::Projection::fit_camera(geometry.bounds(), &opts, camera);
         let cut = {
             let _phase = self.recorder.tracer().phase("lod.cut");
-            lod::cut(
-                tree,
-                &self.frontier,
-                &position,
+            geometry.cut(
+                self.trace.containers(),
                 &|p| proj.project(p),
                 opts.width,
                 opts.height,
@@ -1067,7 +1098,7 @@ impl AnalysisSession {
             self.slice,
             &self.mapping,
             &self.scaling,
-            &position,
+            &|c| geometry.position(c),
             &self.leaf_edges,
             &self.breakdown,
             self.agg_source(),
@@ -1634,6 +1665,26 @@ mod tests {
         s.scaling_mut().max_px = 80.0;
         let after = s.view().nodes[0].px_size;
         assert!(after > before, "{before} -> {after}");
+    }
+
+    /// The level-of-detail geometry depends on positions and the
+    /// frontier only: slice, slider, mapping and breakdown changes keep
+    /// serving the cached one, a drag rebuilds it.
+    #[test]
+    fn lod_geometry_survives_changes_that_move_nothing() {
+        let mut s = session();
+        let vp = Viewport::new(400.0, 300.0).with_camera(Camera::new(2.0, 10.0, -5.0));
+        s.render(&vp);
+        let cached = s.lod_geometry();
+        s.set_time_slice(TimeSlice::new(2.0, 6.0));
+        s.scaling_mut().set_slider("power", 2.0);
+        s.mapping_mut();
+        s.set_breakdown_metrics(vec!["power_used".into()]).unwrap();
+        s.render(&vp);
+        assert!(Arc::ptr_eq(&cached, &s.lod_geometry()));
+        let h = s.trace().containers().by_name("c1-h0").unwrap().id();
+        s.drag(h, Vec2::new(3.0, 4.0)).unwrap();
+        assert!(!Arc::ptr_eq(&cached, &s.lod_geometry()));
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::fmt::Write as _;
 
 use viva_layout::Vec2;
 
-use crate::color::kind_color;
+use crate::color::{kind_color, Color};
 use crate::mapping::Shape;
 use crate::view::{GraphView, ViewNode, ViewTile};
 use crate::viewport::{Theme, Viewport};
@@ -124,87 +124,206 @@ impl Projection {
     }
 }
 
-fn write_shape(out: &mut String, shape: Shape, center: Vec2, size: f64, style: &str) {
+/// Appends `v` exactly as `format!("{v:.N}")` writes it, for
+/// `N = decimals` (2 or 3) — without going through `core::fmt` on the
+/// common path. The fast path rounds `|v|·10^N` to the nearest
+/// integer: for `|v| < 1e9` the product's rounding error is below
+/// `1e-4`, so away from a rounding tie it rounds the way the exact
+/// decimal expansion does. Non-finite values, `|v| ≥ 1e9` and scaled
+/// values within `1e-4` of a tie (where `core::fmt`'s exact
+/// half-to-even rounding decides) take `core::fmt` itself. Like
+/// `core::fmt`, it keeps the sign of negative values that round to
+/// zero (`-0.001` → `-0.00`) and of `-0.0`.
+fn push_fixed(out: &mut String, v: f64, decimals: usize) {
+    const SCALE: [f64; 4] = [1.0, 10.0, 100.0, 1000.0];
+    if !v.is_finite() || v.abs() >= 1e9 {
+        let _ = write!(out, "{v:.decimals$}");
+        return;
+    }
+    // Below 1e12, so the truncating cast is the floor and `frac` the
+    // exact fractional part.
+    let scaled = v.abs() * SCALE[decimals];
+    let whole = scaled as u64;
+    let frac = scaled - whole as f64;
+    if (frac - 0.5).abs() <= 1e-4 {
+        let _ = write!(out, "{v:.decimals$}");
+        return;
+    }
+    let mut n = whole + u64::from(frac > 0.5);
+    let mut buf = [0u8; 24];
+    let mut at = buf.len();
+    for _ in 0..decimals {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+    }
+    at -= 1;
+    buf[at] = b'.';
+    at = digits_before(&mut buf, at, n);
+    if v.is_sign_negative() {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
+}
+
+/// Writes the decimal digits of `n` into `buf` so that they end just
+/// before `at`; returns where they start.
+fn digits_before(buf: &mut [u8], mut at: usize, mut n: u64) -> usize {
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            return at;
+        }
+    }
+}
+
+/// Appends `v` in decimal, as `format!("{v}")` writes it.
+fn push_uint(out: &mut String, v: u64) {
+    let mut buf = [0u8; 20];
+    let at = digits_before(&mut buf, 20, v);
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
+}
+
+/// Appends `s` XML-escaped: `&`, `<` and `>` always, and `"` too when
+/// `quote` is set — the value then lands inside a `"…"` attribute.
+fn push_escaped(out: &mut String, s: &str, quote: bool) {
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let entity = match b {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'"' if quote => "&quot;",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        out.push_str(entity);
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+}
+
+/// Opens `<tag` followed by ` name="v"` per attribute, each `v`
+/// written as `{:.2}`.
+fn open_element(out: &mut String, tag: &str, attrs: &[(&str, f64)]) {
+    out.push('<');
+    out.push_str(tag);
+    for &(name, v) in attrs {
+        out.push(' ');
+        out.push_str(name);
+        out.push_str("=\"");
+        push_fixed(out, v, 2);
+        out.push('"');
+    }
+}
+
+/// Opens a shape element at `center` of side/diameter `size`, up to
+/// and including the space before its style attributes; the caller
+/// writes the style and closes it with `/>`.
+fn open_shape(out: &mut String, shape: Shape, center: Vec2, size: f64) {
     let h = size / 2.0;
     match shape {
         Shape::Square => {
-            let _ = write!(
-                out,
-                r#"<rect x="{:.2}" y="{:.2}" width="{:.2}" height="{:.2}" {}/>"#,
-                center.x - h,
-                center.y - h,
-                size,
-                size,
-                style
-            );
+            let (x, y) = (center.x - h, center.y - h);
+            open_element(out, "rect", &[("x", x), ("y", y), ("width", size), ("height", size)]);
         }
         Shape::Diamond => {
-            let _ = write!(
-                out,
-                r#"<polygon points="{:.2},{:.2} {:.2},{:.2} {:.2},{:.2} {:.2},{:.2}" {}/>"#,
-                center.x,
-                center.y - h,
-                center.x + h,
-                center.y,
-                center.x,
-                center.y + h,
-                center.x - h,
-                center.y,
-                style
-            );
+            out.push_str(r#"<polygon points=""#);
+            for (i, (x, y)) in [
+                (center.x, center.y - h),
+                (center.x + h, center.y),
+                (center.x, center.y + h),
+                (center.x - h, center.y),
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                if i > 0 {
+                    out.push(' ');
+                }
+                push_fixed(out, x, 2);
+                out.push(',');
+                push_fixed(out, y, 2);
+            }
+            out.push('"');
         }
-        Shape::Circle => {
-            let _ = write!(
-                out,
-                r#"<circle cx="{:.2}" cy="{:.2}" r="{:.2}" {}/>"#,
-                center.x, center.y, h, style
-            );
-        }
+        Shape::Circle => open_element(out, "circle", &[("cx", center.x), ("cy", center.y), ("r", h)]),
     }
+    out.push(' ');
+}
+
+/// A shape outlined in `color`, unfilled.
+fn write_outline(out: &mut String, shape: Shape, center: Vec2, size: f64, color: Color, width: &str) {
+    open_shape(out, shape, center, size);
+    out.push_str(r#"fill="none" stroke=""#);
+    color.push_hex(out);
+    out.push_str(r#"" stroke-width=""#);
+    out.push_str(width);
+    out.push_str(r#""/>"#);
+}
+
+/// Closes an element with the translucent proportional-fill style.
+fn close_fill(out: &mut String, color: Color) {
+    out.push_str(r#"fill=""#);
+    color.push_hex(out);
+    out.push_str(r#"" fill-opacity="0.75"/>"#);
+}
+
+/// A label under a glyph: `<text …>label</text>`.
+fn write_label(out: &mut String, x: f64, y: f64, opts: &SvgOptions, label: &str) {
+    open_element(out, "text", &[("x", x), ("y", y)]);
+    out.push_str(r#" font-size="9" text-anchor="middle" fill=""#);
+    out.push_str(opts.theme.label_fill());
+    out.push_str(r#"">"#);
+    push_escaped(out, label, false);
+    out.push_str("</text>");
 }
 
 /// Stroke color marking resources that failed during the slice.
 const FAULT_STROKE: &str = "#cc2222";
 
 fn write_node(out: &mut String, node: &ViewNode, center: Vec2, opts: &SvgOptions) {
-    let color = kind_color(node.kind).hex();
-    // Ingest trust annotation: values under a quarantine-marked node
-    // were computed after dropping non-finite samples.
-    let quarantine_attr = if node.quarantined > 0 {
-        format!(r#" data-quarantined="{}""#, node.quarantined)
-    } else {
-        String::new()
-    };
+    let color = kind_color(node.kind);
+    out.push_str(r#"<g class="node node-"#);
+    out.push_str(node.shape.label());
     if node.is_degraded() {
         // Failed (or partially failed, for aggregates) resources are
         // rendered distinctly: the exact availability travels as a data
         // attribute, the outline below switches to a dashed red stroke.
-        let _ = write!(
-            out,
-            r#"<g class="node node-{} degraded" data-container="{}" data-members="{}" data-availability="{:.3}"{}>"#,
-            node.shape.label(),
-            node.container.index(),
-            node.members,
-            node.availability,
-            quarantine_attr
-        );
-    } else {
-        let _ = write!(
-            out,
-            r#"<g class="node node-{}" data-container="{}" data-members="{}"{}>"#,
-            node.shape.label(),
-            node.container.index(),
-            node.members,
-            quarantine_attr
-        );
+        out.push_str(" degraded");
     }
+    out.push_str(r#"" data-container=""#);
+    push_uint(out, node.container.index() as u64);
+    out.push_str(r#"" data-members=""#);
+    push_uint(out, node.members as u64);
+    out.push('"');
+    if node.is_degraded() {
+        out.push_str(r#" data-availability=""#);
+        push_fixed(out, node.availability, 3);
+        out.push('"');
+    }
+    // Ingest trust annotation: values under a quarantine-marked node
+    // were computed after dropping non-finite samples.
+    if node.quarantined > 0 {
+        out.push_str(r#" data-quarantined=""#);
+        push_uint(out, node.quarantined);
+        out.push('"');
+    }
+    out.push('>');
     // Outline: dashed red for anything that was down during the slice.
-    let outline = if node.is_degraded() {
-        format!(r#"fill="none" stroke="{FAULT_STROKE}" stroke-width="1.5" stroke-dasharray="4 2""#)
+    open_shape(out, node.shape, center, node.px_size);
+    if node.is_degraded() {
+        out.push_str(r#"fill="none" stroke=""#);
+        out.push_str(FAULT_STROKE);
+        out.push_str(r#"" stroke-width="1.5" stroke-dasharray="4 2"/>"#);
     } else {
-        format!(r#"fill="none" stroke="{color}" stroke-width="1.5""#)
-    };
-    write_shape(out, node.shape, center, node.px_size, &outline);
+        out.push_str(r#"fill="none" stroke=""#);
+        color.push_hex(out);
+        out.push_str(r#"" stroke-width="1.5"/>"#);
+    }
     // Proportional fill (§3.1): squares fill bottom-up; diamonds and
     // circles get an inner shape of proportional area.
     if node.fill_fraction > 0.0 {
@@ -212,39 +331,26 @@ fn write_node(out: &mut String, node: &ViewNode, center: Vec2, opts: &SvgOptions
             Shape::Square => {
                 let s = node.px_size;
                 let fh = s * node.fill_fraction;
-                let _ = write!(
-                    out,
-                    r#"<rect x="{:.2}" y="{:.2}" width="{:.2}" height="{:.2}" fill="{}" fill-opacity="0.75"/>"#,
-                    center.x - s / 2.0,
-                    center.y + s / 2.0 - fh,
-                    s,
-                    fh,
-                    color
-                );
+                let (x, y) = (center.x - s / 2.0, center.y + s / 2.0 - fh);
+                open_element(out, "rect", &[("x", x), ("y", y), ("width", s), ("height", fh)]);
+                out.push(' ');
             }
             Shape::Diamond | Shape::Circle => {
                 let inner = node.px_size * node.fill_fraction.sqrt();
-                let style = format!(r#"fill="{color}" fill-opacity="0.75""#);
-                write_shape(out, node.shape, center, inner, &style);
+                open_shape(out, node.shape, center, inner);
             }
         }
+        close_fill(out, color);
     }
     // Fig. 3 link badge of aggregated groups: a diamond at the
     // north-east corner.
     if let Some(badge) = &node.link_badge {
         let at = center + Vec2::new(node.px_size / 2.0, -node.px_size / 2.0);
-        let color = kind_color(viva_trace::ContainerKind::Link).hex();
-        let outline = format!(r#"fill="none" stroke="{color}" stroke-width="1.2""#);
-        write_shape(out, Shape::Diamond, at, badge.px_size, &outline);
+        let color = kind_color(viva_trace::ContainerKind::Link);
+        write_outline(out, Shape::Diamond, at, badge.px_size, color, "1.2");
         if badge.fill_fraction > 0.0 {
-            let style = format!(r#"fill="{color}" fill-opacity="0.75""#);
-            write_shape(
-                out,
-                Shape::Diamond,
-                at,
-                badge.px_size * badge.fill_fraction.sqrt(),
-                &style,
-            );
+            open_shape(out, Shape::Diamond, at, badge.px_size * badge.fill_fraction.sqrt());
+            close_fill(out, color);
         }
     }
     // §6 pie glyph: per-metric shares at the south-east corner.
@@ -257,39 +363,35 @@ fn write_node(out: &mut String, node: &ViewNode, center: Vec2, opts: &SvgOptions
             let (x0, y0) = (at.x + r * angle.cos(), at.y + r * angle.sin());
             let end = angle + sweep;
             let (x1, y1) = (at.x + r * end.cos(), at.y + r * end.sin());
-            let large = i32::from(sweep > std::f64::consts::PI);
-            let color = crate::color::account_color(i).hex();
             if *share >= 1.0 - 1e-9 {
-                let _ = write!(
-                    out,
-                    r#"<circle cx="{:.2}" cy="{:.2}" r="{:.2}" fill="{}" class="pie" data-metric="{}"/>"#,
-                    at.x, at.y, r, color, xml_escape(name)
-                );
+                open_shape(out, Shape::Circle, at, 2.0 * r);
             } else {
-                let _ = write!(
-                    out,
-                    r#"<path d="M {:.2} {:.2} L {:.2} {:.2} A {r:.2} {r:.2} 0 {large} 1 {:.2} {:.2} Z" fill="{}" class="pie" data-metric="{}"/>"#,
-                    at.x, at.y, x0, y0, x1, y1, color, xml_escape(name)
-                );
+                out.push_str(r#"<path d="M "#);
+                for (p, sep) in [(at.x, " "), (at.y, " L "), (x0, " "), (y0, " A ")] {
+                    push_fixed(out, p, 2);
+                    out.push_str(sep);
+                }
+                push_fixed(out, r, 2);
+                out.push(' ');
+                push_fixed(out, r, 2);
+                out.push_str(if sweep > std::f64::consts::PI { " 0 1 1 " } else { " 0 0 1 " });
+                push_fixed(out, x1, 2);
+                out.push(' ');
+                push_fixed(out, y1, 2);
+                out.push_str(r#" Z" "#);
             }
+            out.push_str(r#"fill=""#);
+            crate::color::account_color(i).push_hex(out);
+            out.push_str(r#"" class="pie" data-metric=""#);
+            push_escaped(out, name, true);
+            out.push_str(r#""/>"#);
             angle = end;
         }
     }
     if opts.labels {
-        let _ = write!(
-            out,
-            r#"<text x="{:.2}" y="{:.2}" font-size="9" text-anchor="middle" fill="{}">{}</text>"#,
-            center.x,
-            center.y + node.px_size / 2.0 + 10.0,
-            opts.theme.label_fill(),
-            xml_escape(&node.label)
-        );
+        write_label(out, center.x, center.y + node.px_size / 2.0 + 10.0, opts, &node.label);
     }
     out.push_str("</g>\n");
-}
-
-fn xml_escape(s: &str) -> String {
-    s.replace('&', "&amp;").replace('<', "&lt;").replace('>', "&gt;")
 }
 
 /// The aggregate tile glyph of a level-of-detail render: a dashed
@@ -313,60 +415,66 @@ fn write_tile(out: &mut String, tile: &ViewTile, proj: &Projection, opts: &SvgOp
     };
     let (x, w) = clamp_span(a.x, b.x, opts.width);
     let (y, h) = clamp_span(a.y, b.y, opts.height);
-    let color = kind_color(tile.kind).hex();
-    let degraded = if tile.is_degraded() { " degraded" } else { "" };
-    let offscreen = if tile.offscreen { " offscreen" } else { "" };
-    let _ = write!(
-        out,
-        r#"<g class="tile{degraded}{offscreen}" data-container="{}" data-nodes="{}" data-size="{:.3}" data-fill="{:.3}" data-availability="{:.3}""#,
-        tile.container.index(),
-        tile.nodes,
-        tile.size_value,
-        tile.fill_value,
-        tile.availability,
-    );
+    let color = kind_color(tile.kind);
+    out.push_str(r#"<g class="tile"#);
+    if tile.is_degraded() {
+        out.push_str(" degraded");
+    }
+    if tile.offscreen {
+        out.push_str(" offscreen");
+    }
+    out.push_str(r#"" data-container=""#);
+    push_uint(out, tile.container.index() as u64);
+    out.push_str(r#"" data-nodes=""#);
+    push_uint(out, tile.nodes as u64);
+    out.push_str(r#"" data-size=""#);
+    push_fixed(out, tile.size_value, 3);
+    out.push_str(r#"" data-fill=""#);
+    push_fixed(out, tile.fill_value, 3);
+    out.push_str(r#"" data-availability=""#);
+    push_fixed(out, tile.availability, 3);
+    out.push('"');
     if tile.quarantined > 0 {
-        let _ = write!(out, r#" data-quarantined="{}""#, tile.quarantined);
+        out.push_str(r#" data-quarantined=""#);
+        push_uint(out, tile.quarantined);
+        out.push('"');
     }
     if !tile.segments.is_empty() {
-        let mix: Vec<String> = tile
-            .segments
-            .iter()
-            .map(|(name, share)| format!("{}:{:.3}", xml_escape(name), share))
-            .collect();
-        let _ = write!(out, r#" data-mix="{}""#, mix.join(";"));
+        out.push_str(r#" data-mix=""#);
+        for (i, (name, share)) in tile.segments.iter().enumerate() {
+            if i > 0 {
+                out.push(';');
+            }
+            push_escaped(out, name, true);
+            out.push(':');
+            push_fixed(out, *share, 3);
+        }
+        out.push('"');
     }
     out.push('>');
-    let stroke = if tile.is_degraded() { FAULT_STROKE } else { &color };
-    let _ = write!(
-        out,
-        r#"<rect x="{x:.2}" y="{y:.2}" width="{w:.2}" height="{h:.2}" rx="3" fill="none" stroke="{stroke}" stroke-width="1.2" stroke-dasharray="2 3"/>"#,
-    );
+    open_element(out, "rect", &[("x", x), ("y", y), ("width", w), ("height", h)]);
+    out.push_str(r#" rx="3" fill="none" stroke=""#);
+    if tile.is_degraded() {
+        out.push_str(FAULT_STROKE);
+    } else {
+        color.push_hex(out);
+    }
+    out.push_str(r#"" stroke-width="1.2" stroke-dasharray="2 3"/>"#);
     if tile.fill_fraction > 0.0 {
         let fh = h * tile.fill_fraction;
-        let _ = write!(
-            out,
-            r#"<rect x="{x:.2}" y="{:.2}" width="{w:.2}" height="{fh:.2}" fill="{color}" fill-opacity="0.35"/>"#,
-            y + h - fh,
-        );
+        open_element(out, "rect", &[("x", x), ("y", y + h - fh), ("width", w), ("height", fh)]);
+        out.push_str(r#" fill=""#);
+        color.push_hex(out);
+        out.push_str(r#"" fill-opacity="0.35"/>"#);
     }
-    let _ = write!(
-        out,
-        r#"<text x="{:.2}" y="{:.2}" font-size="10" text-anchor="middle" fill="{}">{}</text>"#,
-        x + w / 2.0,
-        y + h / 2.0 + 3.5,
-        opts.theme.label_fill(),
-        tile.nodes,
-    );
+    open_element(out, "text", &[("x", x + w / 2.0), ("y", y + h / 2.0 + 3.5)]);
+    out.push_str(r#" font-size="10" text-anchor="middle" fill=""#);
+    out.push_str(opts.theme.label_fill());
+    out.push_str(r#"">"#);
+    push_uint(out, tile.nodes as u64);
+    out.push_str("</text>");
     if opts.labels {
-        let _ = write!(
-            out,
-            r#"<text x="{:.2}" y="{:.2}" font-size="9" text-anchor="middle" fill="{}">{}</text>"#,
-            x + w / 2.0,
-            y + h + 10.0,
-            opts.theme.label_fill(),
-            xml_escape(&tile.label)
-        );
+        write_label(out, x + w / 2.0, y + h + 10.0, opts, &tile.label);
     }
     out.push_str("</g>\n");
 }
@@ -376,11 +484,21 @@ pub fn render(view: &GraphView, opts: &SvgOptions) -> String {
     render_projected(view, opts, &Projection::fit(view, opts))
 }
 
+/// Bytes reserved per drawn element: a little above what a typical
+/// element takes, so one allocation holds the document.
+const NODE_BYTES: usize = 320;
+const TILE_BYTES: usize = 640;
+const EDGE_BYTES: usize = 100;
+
 /// [`render`] with an explicit projection — the level-of-detail path,
 /// whose projection is fitted to the *full* frontier bounds (plus
 /// camera) rather than to the subset of nodes that survived the cut.
 pub(crate) fn render_projected(view: &GraphView, opts: &SvgOptions, proj: &Projection) -> String {
-    let mut out = String::new();
+    let mut out = String::with_capacity(
+        1024 + NODE_BYTES * view.nodes.len()
+            + TILE_BYTES * view.tiles.len()
+            + EDGE_BYTES * view.edges.len(),
+    );
     let _ = writeln!(
         out,
         r#"<svg xmlns="http://www.w3.org/2000/svg" width="{}" height="{}" viewBox="0 0 {} {}">"#,
@@ -394,27 +512,32 @@ pub(crate) fn render_projected(view: &GraphView, opts: &SvgOptions, proj: &Proje
     // Edges below everything. An endpoint is either a drawn node or,
     // on the level-of-detail path, an aggregate tile (anchored at its
     // world-footprint center); edges to entities in neither list are
-    // dropped, as before.
-    let endpoint = |id| {
-        view.node(id)
-            .map(|n| n.position)
-            .or_else(|| view.tile(id).map(|t| (t.lo + t.hi) * 0.5))
-    };
-    for e in &view.edges {
-        let (Some(a), Some(b)) = (endpoint(e.a), endpoint(e.b)) else {
-            continue;
+    // dropped, as before. The anchors are looked up by binary search
+    // in id-sorted copies, first entry per id winning as in
+    // [`GraphView::node`] and [`GraphView::tile`].
+    if !view.edges.is_empty() {
+        let sorted = |mut anchors: Vec<(viva_trace::ContainerId, Vec2)>| {
+            anchors.sort_by_key(|a| a.0);
+            anchors.dedup_by_key(|a| a.0);
+            anchors
         };
-        let pa = proj.project(a);
-        let pb = proj.project(b);
-        let _ = writeln!(
-            out,
-            r#"<line x1="{:.2}" y1="{:.2}" x2="{:.2}" y2="{:.2}" stroke="{}" stroke-width="1"/>"#,
-            pa.x,
-            pa.y,
-            pb.x,
-            pb.y,
-            opts.theme.edge_stroke()
-        );
+        let nodes = sorted(view.nodes.iter().map(|n| (n.container, n.position)).collect());
+        let tiles = sorted(view.tiles.iter().map(|t| (t.container, (t.lo + t.hi) * 0.5)).collect());
+        let find = |anchors: &[(viva_trace::ContainerId, Vec2)], id| {
+            anchors.binary_search_by_key(&id, |a| a.0).ok().map(|i| anchors[i].1)
+        };
+        let endpoint = |id| find(&nodes, id).or_else(|| find(&tiles, id));
+        for e in &view.edges {
+            let (Some(a), Some(b)) = (endpoint(e.a), endpoint(e.b)) else {
+                continue;
+            };
+            let pa = proj.project(a);
+            let pb = proj.project(b);
+            open_element(&mut out, "line", &[("x1", pa.x), ("y1", pa.y), ("x2", pb.x), ("y2", pb.y)]);
+            out.push_str(r#" stroke=""#);
+            out.push_str(opts.theme.edge_stroke());
+            out.push_str("\" stroke-width=\"1\"/>\n");
+        }
     }
     // Tiles under the real nodes: they are background context.
     for tile in &view.tiles {
@@ -547,6 +670,152 @@ mod tests {
         let svg = render(&v, &SvgOptions { width: 200.0, height: 100.0, ..Default::default() });
         // Degenerate bounds: scale 1, node at canvas center.
         assert!(svg.contains(r#"x="80.00""#), "{svg}");
+    }
+}
+
+#[cfg(test)]
+mod fixed_tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// `push_fixed` against `core::fmt` for one value, both precisions.
+    fn check(v: f64) -> Result<(), proptest::test_runner::TestCaseError> {
+        for decimals in [2, 3] {
+            let mut out = String::from("x");
+            push_fixed(&mut out, v, decimals);
+            prop_assert_eq!(&out[1..], format!("{v:.decimals$}"), "v = {:?} ({:#x})", v, v.to_bits());
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn special_values_format_like_core_fmt() {
+        for v in [
+            0.0,
+            -0.0,
+            -0.001,
+            -0.004,
+            -0.0049,
+            -0.0051,
+            0.0049999,
+            1e-300,
+            -1e-300,
+            0.5,
+            0.995,
+            9.995,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            999_999_999.994,
+            999_999_999.996,
+            1e9,
+            -1e9,
+            1e9 + 0.125,
+            4.5e15,
+            1e300,
+        ] {
+            check(v).unwrap();
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 4096, ..ProptestConfig::default() })]
+
+        /// Exact binary ties `k/64` and decimal ties `k/1000`, the
+        /// values core::fmt rounds half-to-even (or not at all).
+        #[test]
+        fn ties_format_like_core_fmt(k in -4_000_000i64..4_000_000, sign in 0u8..2) {
+            let s = if sign == 0 { 1.0 } else { -1.0 };
+            check(s * k as f64 / 64.0)?;
+            check(s * k as f64 / 1000.0)?;
+            check(s * k as f64 / 200.0)?;
+        }
+
+        /// Arbitrary bit patterns: every exponent, subnormals, NaNs.
+        #[test]
+        fn bit_patterns_format_like_core_fmt(bits in 0u64..u64::MAX) {
+            check(f64::from_bits(bits))?;
+        }
+
+        /// Values in the range canvases actually use, and around the
+        /// 1e9 fallback bound.
+        #[test]
+        fn canvas_values_format_like_core_fmt(
+            v in -5000.0f64..5000.0,
+            big in 0.9e9f64..1.1e9,
+            tiny in -0.01f64..0.01,
+        ) {
+            check(v)?;
+            check(big)?;
+            check(-big)?;
+            check(tiny)?;
+        }
+    }
+}
+
+#[cfg(test)]
+mod escape_tests {
+    use super::*;
+    use viva_agg::{TimeSlice, ViewState};
+    use viva_trace::TraceLoader;
+
+    /// A metric name carrying `"` must not end the attribute it lands
+    /// in: node pies (`data-metric`) and tiles (`data-mix`) both quote
+    /// it as `&quot;`, while labels (element text) keep it as is.
+    #[test]
+    fn quotes_in_metric_names_are_escaped_in_attributes() {
+        let text = "span,0,10\n\
+                    container,1,0,cluster,c\n\
+                    container,2,1,host,h\"1\n\
+                    metric,0,MFlop/s,power\n\
+                    metric,1,MFlop/s,power_used\n\
+                    metric,2,MFlop/s,a\"b\n\
+                    var,0.0,2,0,100.0\n\
+                    var,0.0,2,1,50.0\n\
+                    var,0.0,2,2,20.0\n";
+        let trace = TraceLoader::new().load_str(text).unwrap().trace;
+        let metric = "a\"b".to_owned();
+        let view = crate::view::build_view(
+            &trace,
+            &ViewState::new(),
+            TimeSlice::new(0.0, 10.0),
+            &crate::mapping::MappingConfig::default(),
+            &crate::scaling::ScalingConfig::default(),
+            &|_| Vec2::default(),
+            &[],
+            std::slice::from_ref(&metric),
+        );
+        let svg = render(&view, &SvgOptions { labels: true, ..Default::default() });
+        assert!(svg.contains(r#"data-metric="a&quot;b""#), "{svg}");
+        assert!(svg.contains(">h\"1</text>"), "{svg}");
+        // Every attribute value is closed where it should be: quotes
+        // pair up inside each tag.
+        for tag in svg.split('<').skip(1) {
+            let tag = tag.split('>').next().unwrap();
+            assert_eq!(tag.matches('"').count() % 2, 0, "unbalanced quotes in <{tag}>");
+        }
+
+        let mut tiled = view.clone();
+        tiled.tiles.push(crate::view::ViewTile {
+            container: view.nodes[0].container,
+            label: "t".into(),
+            kind: viva_trace::ContainerKind::Cluster,
+            nodes: 1,
+            size_value: 1.0,
+            fill_value: 0.5,
+            fill_fraction: 0.5,
+            segments: vec![(metric.clone(), 1.0)],
+            availability: 1.0,
+            quarantined: 0,
+            lo: Vec2::default(),
+            hi: Vec2::default(),
+            offscreen: false,
+        });
+        let svg = render(&tiled, &SvgOptions::default());
+        assert!(svg.contains(r#"data-mix="a&quot;b:1.000""#), "{svg}");
     }
 }
 

@@ -294,6 +294,54 @@ pub(crate) struct NodePartial {
     quarantined: u64,
 }
 
+/// What a node of one kind aggregates: its shape and the metric ids
+/// of its size and fill metrics (`None` when unmapped or absent from
+/// the trace).
+#[derive(Debug, Clone, Copy)]
+struct KindMetrics {
+    shape: Shape,
+    size: Option<MetricId>,
+    fill: Option<MetricId>,
+}
+
+/// The mapping and the breakdown resolved against a trace's metric
+/// registry once per scene, so aggregating a node looks no rule up and
+/// no metric up by name. Kinds are resolved on first use.
+pub(crate) struct MetricPlan<'a> {
+    trace: &'a Trace,
+    mapping: &'a MappingConfig,
+    kinds: Vec<(ContainerKind, KindMetrics)>,
+    /// Breakdown metrics the trace knows, in configured order.
+    breakdown: Vec<(&'a String, MetricId)>,
+    availability: Option<MetricId>,
+}
+
+impl<'a> MetricPlan<'a> {
+    pub(crate) fn new(trace: &'a Trace, mapping: &'a MappingConfig, breakdown: &'a [String]) -> Self {
+        MetricPlan {
+            trace,
+            mapping,
+            kinds: Vec::new(),
+            breakdown: breakdown
+                .iter()
+                .filter_map(|name| Some((name, trace.metric_id(name)?)))
+                .collect(),
+            availability: trace.metric_id(viva_trace::metric::names::AVAILABILITY),
+        }
+    }
+
+    fn kind(&mut self, kind: ContainerKind) -> KindMetrics {
+        if let Some(&(_, k)) = self.kinds.iter().find(|(k, _)| *k == kind) {
+            return k;
+        }
+        let rule = self.mapping.rule(kind);
+        let id = |name: Option<String>| name.and_then(|n| self.trace.metric_id(&n));
+        let metrics = KindMetrics { shape: rule.shape, size: id(rule.size_metric), fill: id(rule.fill_metric) };
+        self.kinds.push((kind, metrics));
+        metrics
+    }
+}
+
 /// First-pass aggregation of one visible container (Equation 1 per
 /// mapped metric, badge, pie segments, availability). With an
 /// [`AggSource::Indexed`] source every query but the §6 summary is
@@ -303,8 +351,7 @@ pub(crate) fn compute_partial(
     trace: &Trace,
     state: &ViewState,
     slice: TimeSlice,
-    mapping: &MappingConfig,
-    breakdown: &[String],
+    plan: &mut MetricPlan<'_>,
     source: AggSource<'_>,
     c: ContainerId,
 ) -> NodePartial {
@@ -312,46 +359,36 @@ pub(crate) fn compute_partial(
     let width = slice.width();
     let node = tree.node(c);
     let kind = node.kind();
-    let rule = mapping.rule(kind);
+    let rule = plan.kind(kind);
     let norm = |v: f64| if width > 0.0 { v / width } else { 0.0 };
-    let (size_value, members) = match rule.size_metric.as_deref().and_then(|n| trace.metric_id(n)) {
+    let (size_value, members) = match rule.size {
         Some(m) => (
             norm(source.integral(trace, m, c, slice)),
             source.carriers(trace, m, c).max(1),
         ),
         None => (0.0, 1),
     };
-    let fill_value = rule
-        .fill_metric
-        .as_deref()
-        .and_then(|n| trace.metric_id(n))
-        .map_or(0.0, |m| norm(source.integral(trace, m, c, slice)));
+    let fill_value = rule.fill.map_or(0.0, |m| norm(source.integral(trace, m, c, slice)));
     // A collapsed group that contains links gets the Fig. 3 diamond
     // badge, aggregated with the Link mapping.
     let badge = if kind.is_grouping() && state.is_collapsed(c) && width > 0.0 {
-        let link_rule = mapping.rule(ContainerKind::Link);
+        let link_rule = plan.kind(ContainerKind::Link);
         link_rule
-            .size_metric
-            .as_deref()
-            .and_then(|n| trace.metric_id(n))
+            .size
             .filter(|&m| source.carriers(trace, m, c) > 0)
             .map(|m| {
                 let bs = norm(source.integral(trace, m, c, slice));
-                let bf = link_rule
-                    .fill_metric
-                    .as_deref()
-                    .and_then(|n| trace.metric_id(n))
-                    .map_or(0.0, |fm| norm(source.integral(trace, fm, c, slice)));
+                let bf = link_rule.fill.map_or(0.0, |fm| norm(source.integral(trace, fm, c, slice)));
                 (bs, bf)
             })
     } else {
         None
     };
     // §6 pie charts: share of each breakdown metric on this node.
-    let mut segments: Vec<(String, f64)> = breakdown
+    let mut segments: Vec<(String, f64)> = plan
+        .breakdown
         .iter()
-        .filter_map(|name| {
-            let m = trace.metric_id(name)?;
+        .filter_map(|&(name, m)| {
             let integral = source.integral(trace, m, c, slice);
             (integral > 0.0).then(|| (name.clone(), integral))
         })
@@ -365,8 +402,8 @@ pub(crate) fn compute_partial(
     // Fault-injection first-class signal: how much of the slice the
     // members were up. Absent signal (a trace without fault
     // tracing) means "always up", not "down".
-    let availability = trace
-        .metric_id(viva_trace::metric::names::AVAILABILITY)
+    let availability = plan
+        .availability
         .and_then(|m| source.try_mean(trace, m, c, slice))
         .unwrap_or(1.0)
         .clamp(0.0, 1.0);
@@ -467,6 +504,36 @@ pub(crate) fn build_view_lod(
     )
 }
 
+/// The size groups of one frame (paper §4.1): each group's name and
+/// the largest size value seen in it, with every kind's group resolved
+/// through the mapping once.
+#[derive(Default)]
+struct SizeGroups {
+    kinds: Vec<(ContainerKind, usize)>,
+    names: Vec<String>,
+    max: Vec<f64>,
+}
+
+impl SizeGroups {
+    /// The index of `kind`'s size group.
+    fn of(&mut self, mapping: &MappingConfig, kind: ContainerKind) -> usize {
+        if let Some(&(_, g)) = self.kinds.iter().find(|(k, _)| *k == kind) {
+            return g;
+        }
+        let name = mapping.size_group(kind);
+        let g = match self.names.iter().position(|n| *n == name) {
+            Some(g) => g,
+            None => {
+                self.names.push(name);
+                self.max.push(0.0);
+                self.names.len() - 1
+            }
+        };
+        self.kinds.push((kind, g));
+        g
+    }
+}
+
 #[allow(clippy::too_many_arguments)] // one parameter per §3–§4 input
 fn build_scene(
     trace: &Trace,
@@ -488,57 +555,62 @@ fn build_scene(
     };
 
     // First pass: aggregate metric values per node (cached).
+    let mut plan = MetricPlan::new(trace, mapping, breakdown);
     let partials: Vec<(ContainerId, NodePartial)> = visible
         .iter()
         .map(|&c| {
             let p = cache
                 .entry(c)
-                .or_insert_with(|| compute_partial(trace, state, slice, mapping, breakdown, source, c));
+                .or_insert_with(|| compute_partial(trace, state, slice, &mut plan, source, c));
             (c, p.clone())
         })
         .collect();
 
     // Second pass: per-size-group screen scaling (paper §4.1). Badge
-    // sizes participate in the link group's scale.
-    let mut groups: HashMap<String, Vec<f64>> = HashMap::new();
-    for (_, p) in &partials {
-        groups
-            .entry(mapping.size_group(p.kind))
-            .or_default()
-            .push(p.size_value);
-    }
-    let link_group = mapping.size_group(ContainerKind::Link);
-    for (_, p) in &partials {
-        if let Some((bs, _)) = p.badge {
-            groups.entry(link_group.clone()).or_default().push(bs);
-        }
-    }
-    let scales: HashMap<String, f64> = groups
+    // sizes participate in the link group's scale. Each kind's group
+    // is resolved once per frame, not once per node.
+    let mut groups = SizeGroups::default();
+    let link_group = groups.of(mapping, ContainerKind::Link);
+    let node_groups: Vec<usize> = partials
         .iter()
-        .map(|(g, values)| {
-            let max = values.iter().copied().fold(0.0f64, f64::max);
-            let auto = if max > 0.0 { scaling.max_px / max } else { 0.0 };
-            (g.clone(), auto * scaling.slider(g))
+        .map(|(_, p)| {
+            let g = groups.of(mapping, p.kind);
+            groups.max[g] = groups.max[g].max(p.size_value);
+            g
         })
         .collect();
-    let px_of = |group: &str, value: f64| (value * scales[group]).max(scaling.min_px);
+    for (_, p) in &partials {
+        if let Some((bs, _)) = p.badge {
+            groups.max[link_group] = groups.max[link_group].max(bs);
+        }
+    }
+    let scales: Vec<f64> = groups
+        .names
+        .iter()
+        .zip(&groups.max)
+        .map(|(g, &max)| {
+            let auto = if max > 0.0 { scaling.max_px / max } else { 0.0 };
+            auto * scaling.slider(g)
+        })
+        .collect();
+    let px_of = |group: usize, value: f64| (value * scales[group]).max(scaling.min_px);
 
     let mut nodes: Vec<ViewNode> = partials
         .into_iter()
-        .map(|(container, p)| {
-            let group = mapping.size_group(p.kind);
+        .zip(node_groups)
+        .map(|((container, p), group)| {
             let link_badge = p.badge.map(|(bs, bf)| LinkBadge {
                 size_value: bs,
                 fill_value: bf,
                 fill_fraction: fraction(bf, bs),
-                px_size: px_of(&link_group, bs),
+                px_size: px_of(link_group, bs),
             });
             ViewNode {
                 label: tree.node(container).name().to_owned(),
                 kind: p.kind,
                 shape: p.shape,
                 fill_fraction: fraction(p.fill_value, p.size_value),
-                px_size: px_of(&group, p.size_value),
+                px_size: px_of(group, p.size_value),
                 position: positions(container),
                 members: p.members,
                 link_badge,
@@ -560,9 +632,7 @@ fn build_scene(
             .map(|seed| {
                 let p = cache
                     .entry(seed.root)
-                    .or_insert_with(|| {
-                        compute_partial(trace, state, slice, mapping, breakdown, source, seed.root)
-                    })
+                    .or_insert_with(|| compute_partial(trace, state, slice, &mut plan, source, seed.root))
                     .clone();
                 ViewTile {
                     container: seed.root,
@@ -584,21 +654,18 @@ fn build_scene(
     });
 
     // Where a lifted edge endpoint is drawn: on itself (classic path,
-    // or kept by the cut), or on the tile that absorbed it.
-    let kept: Option<std::collections::HashSet<ContainerId>> =
-        cut.map(|c| c.keep.iter().copied().collect());
-    let tile_roots: Option<std::collections::HashSet<ContainerId>> =
-        cut.map(|c| c.tiles.iter().map(|s| s.root).collect());
+    // or kept by the cut), or on the tile that absorbed it. The cut's
+    // lists are id-sorted, so membership is a binary search.
     let resolve = |r: ContainerId| -> Option<ContainerId> {
-        let (Some(kept), Some(tile_roots)) = (&kept, &tile_roots) else {
+        let Some(cut) = cut else {
             return Some(r);
         };
-        if kept.contains(&r) {
+        if cut.keep.binary_search(&r).is_ok() {
             return Some(r);
         }
         let mut cur = Some(r);
         while let Some(g) = cur {
-            if tile_roots.contains(&g) {
+            if cut.tiles.binary_search_by_key(&g, |t| t.root).is_ok() {
                 return Some(g);
             }
             cur = tree.node(g).parent();

@@ -2078,6 +2078,11 @@ struct Conn {
     stream: TcpStream,
     read_buf: Vec<u8>,
     write_buf: Vec<u8>,
+    /// How much of `write_buf` the socket has already taken. Below
+    /// `write_buf.len()` whenever the buffer is non-empty: a fully
+    /// flushed buffer is cleared, so `write_buf.is_empty()` still
+    /// means nothing is owed.
+    written: usize,
     /// How far `read_buf` has been scanned without finding a newline,
     /// so a large frame arriving in many chunks is scanned once.
     scan_from: usize,
@@ -2095,6 +2100,7 @@ impl Conn {
             stream,
             read_buf: Vec::new(),
             write_buf: Vec::new(),
+            written: 0,
             scan_from: 0,
             last_activity: Instant::now(),
             close_after_flush: false,
@@ -2105,7 +2111,7 @@ impl Conn {
     /// connection: not while it is closing, nor while the peer owes
     /// reads of a full write buffer.
     fn reading(&self) -> bool {
-        !self.close_after_flush && self.write_buf.len() < WRITE_HIGH_WATER
+        !self.close_after_flush && self.write_buf.len() - self.written < WRITE_HIGH_WATER
     }
 
     /// The `poll` events this connection waits for. Never empty: a
@@ -2410,18 +2416,30 @@ fn process_frames(server: &Server, conn: &mut Conn) {
 
 /// Drains `write_buf` into the socket as far as it will go without
 /// blocking. Returns `false` when the connection is dead.
+///
+/// A partial write only advances `written`; the buffer is cleared
+/// once fully sent. While the peer lags, the sent prefix is dropped
+/// only when it outweighs the unsent tail, so every byte is moved at
+/// most once per byte sent — shifting the tail after each partial
+/// write made a large frame's flush quadratic.
 fn flush_write(conn: &mut Conn) -> bool {
-    while !conn.write_buf.is_empty() {
-        match conn.stream.write(&conn.write_buf) {
+    while conn.written < conn.write_buf.len() {
+        match conn.stream.write(&conn.write_buf[conn.written..]) {
             Ok(0) => return false,
-            Ok(n) => {
-                conn.write_buf.drain(..n);
+            Ok(n) => conn.written += n,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                if conn.written > conn.write_buf.len() / 2 {
+                    conn.write_buf.drain(..conn.written);
+                    conn.written = 0;
+                }
+                return true;
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(_) => return false,
         }
     }
+    conn.write_buf.clear();
+    conn.written = 0;
     true
 }
 

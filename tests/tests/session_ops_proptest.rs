@@ -1,11 +1,13 @@
-//! Stateful property test: arbitrary interactive sessions (collapse /
-//! expand / level jumps / drags / slice changes) never break the
-//! session's invariants.
+//! Stateful property tests: arbitrary interactive sessions (collapse /
+//! expand / level jumps / drags / slice changes / camera renders)
+//! never break the session's invariants, and a session whose
+//! level-of-detail geometry cache was kept warm through them renders
+//! exactly what a cold replay of the same gestures renders.
 
 use proptest::prelude::*;
-use viva::AnalysisSession;
+use viva::{AnalysisSession, Camera, Viewport};
 use viva_agg::TimeSlice;
-use viva_layout::Vec2;
+use viva_layout::{NodeKey, Vec2};
 use viva_platform::generators::{self, Grid5000Config};
 use viva_simflow::TracingConfig;
 use viva_trace::ContainerId;
@@ -21,6 +23,11 @@ enum Op {
     Drag(usize, f64, f64),
     Slice(f64, f64),
     Relax(usize),
+    /// A camera frame; also sets the camera later frames use.
+    Render { zoom: f64, pan_x: f64, pan_y: f64 },
+    Release(usize),
+    /// A node moved straight through `layout_mut()`.
+    LayoutMut(usize, f64, f64),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -32,7 +39,50 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0usize..64, -50.0f64..50.0, -50.0f64..50.0).prop_map(|(i, x, y)| Op::Drag(i, x, y)),
         (0.0f64..0.8, 0.05f64..0.2).prop_map(|(a, w)| Op::Slice(a, w)),
         (1usize..10).prop_map(Op::Relax),
+        (0.5f64..8.0, -300.0f64..300.0, -300.0f64..300.0)
+            .prop_map(|(zoom, pan_x, pan_y)| Op::Render { zoom, pan_x, pan_y }),
+        (0usize..64).prop_map(Op::Release),
+        (0usize..64, -50.0f64..50.0, -50.0f64..50.0).prop_map(|(i, x, y)| Op::LayoutMut(i, x, y)),
     ]
+}
+
+/// Applies one gesture. Renders change nothing; they only move the
+/// camera of later frames.
+fn apply(session: &mut AnalysisSession, op: &Op, camera: &mut Camera) {
+    let n_containers = session.trace().containers().len();
+    let id = |i: usize| ContainerId::from_index(i % n_containers);
+    let makespan = session.trace().end();
+    match *op {
+        Op::Collapse(i) => {
+            let _ = session.collapse(id(i));
+        }
+        Op::Expand(i) => {
+            let _ = session.expand(id(i));
+        }
+        Op::Level(d) => session.collapse_at_depth(d),
+        Op::ExpandAll => session.expand_all(),
+        Op::Drag(i, x, y) => {
+            let _ = session.drag(id(i), Vec2::new(x, y));
+        }
+        Op::Slice(a, w) => {
+            let s = a * makespan;
+            session.set_time_slice(TimeSlice::new(s, s + w * makespan));
+        }
+        Op::Relax(n) => {
+            session.relax(n);
+        }
+        Op::Render { zoom, pan_x, pan_y } => *camera = Camera::new(zoom, pan_x, pan_y),
+        Op::Release(i) => {
+            let _ = session.release(id(i));
+        }
+        Op::LayoutMut(i, x, y) => {
+            session.layout_mut().move_node(NodeKey(id(i).index() as u64), Vec2::new(x, y));
+        }
+    }
+}
+
+fn frame(camera: Camera) -> Viewport {
+    Viewport::new(640.0, 480.0).with_camera(camera)
 }
 
 fn build_session() -> AnalysisSession {
@@ -61,38 +111,15 @@ proptest! {
     #[test]
     fn random_sessions_keep_invariants(ops in proptest::collection::vec(op_strategy(), 1..25)) {
         let mut session = build_session();
-        let n_containers = session.trace().containers().len();
         let total_leaves = session
             .trace()
             .containers()
             .leaves_under(session.trace().containers().root())
             .len();
-        let makespan = session.trace().end();
+        let mut camera = Camera::default();
 
         for op in ops {
-            match op {
-                Op::Collapse(i) => {
-                    let c = ContainerId::from_index(i % n_containers);
-                    let _ = session.collapse(c);
-                }
-                Op::Expand(i) => {
-                    let c = ContainerId::from_index(i % n_containers);
-                    let _ = session.expand(c);
-                }
-                Op::Level(d) => session.collapse_at_depth(d),
-                Op::ExpandAll => session.expand_all(),
-                Op::Drag(i, x, y) => {
-                    let c = ContainerId::from_index(i % n_containers);
-                    let _ = session.drag(c, Vec2::new(x, y));
-                }
-                Op::Slice(a, w) => {
-                    let s = a * makespan;
-                    session.set_time_slice(TimeSlice::new(s, s + w * makespan));
-                }
-                Op::Relax(n) => {
-                    session.relax(n);
-                }
-            }
+            apply(&mut session, &op, &mut camera);
 
             let view = session.view();
             // Invariant 1: the layout holds exactly the visible nodes.
@@ -122,5 +149,29 @@ proptest! {
                 prop_assert!(n.members >= 1);
             }
         }
+    }
+
+    /// The level-of-detail geometry cache never serves a stale frame:
+    /// one session renders a camera frame after every gesture, so its
+    /// cache is always warm (and stale, if a gesture that moved nodes
+    /// or changed the frontier forgot to invalidate it); a second
+    /// session replays the same gestures and renders once, cold. Both
+    /// must produce the same bytes.
+    #[test]
+    fn warm_geometry_cache_renders_like_a_cold_replay(
+        ops in proptest::collection::vec(op_strategy(), 1..25),
+    ) {
+        let mut warm = build_session();
+        let mut camera = Camera::default();
+        for op in &ops {
+            apply(&mut warm, op, &mut camera);
+            warm.render(&frame(camera));
+        }
+        let mut cold = build_session();
+        let mut cold_camera = Camera::default();
+        for op in &ops {
+            apply(&mut cold, op, &mut cold_camera);
+        }
+        prop_assert_eq!(warm.render(&frame(camera)), cold.render(&frame(cold_camera)));
     }
 }
