@@ -254,4 +254,17 @@ echo '{"cmd":"shutdown"}' | target/release/viva-server-client --tcp "$ADDR" > /d
 wait "$SRV_PID"
 cargo run --quiet --release -p viva-bench --bin fig_streaming -- --small > /dev/null
 
+echo "==> analystbench: its tests and a 1 s run of every workload"
+# The wire-level benchmark compiles against the server's public API and
+# its mirror checks every reply byte against `Response::encode`: a
+# break in that API fails the build here, a changed reply byte fails
+# the run. Each run must exit 0 and report "correct": true.
+cargo test --release --offline --quiet --manifest-path analystbench/Cargo.toml
+for WORKLOAD in explore zoom100k ingest; do
+  BENCH_OUT=$(cargo run --release --offline --quiet --manifest-path analystbench/Cargo.toml -- \
+    --workload "$WORKLOAD" --seed 1 --seconds 1 --trace 0)
+  printf '%s\n' "$BENCH_OUT" | tail -n 1 | grep -q '^{"correct": true,' \
+    || { echo "analystbench $WORKLOAD: replies not correct" >&2; exit 1; }
+done
+
 echo "ci: all green"

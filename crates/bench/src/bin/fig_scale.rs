@@ -23,7 +23,12 @@
 //! `svg.encode`, the phase spans the session records) beside the warm
 //! dense frame's, so work moved into the cache stays visible.
 //!
-//! Full mode asserts both gates and writes `BENCH_scale.json`;
+//! The dense frame is also measured the way a client receives it: a
+//! `render` through `Server::handle_line`, whose reply splices the
+//! JSON string body the SVG encoder escaped as it wrote. Its
+//! `response.encode` phase — the splice alone — must stay ≤ 0.5 ms.
+//!
+//! Full mode asserts the gates and writes `BENCH_scale.json`;
 //! `--small` is the CI smoke mode: same pipeline and the (scale-free,
 //! deterministic) memory-ratio and tiling assertions, no timing gates
 //! (CI boxes are loaded), committed JSON left alone.
@@ -33,6 +38,8 @@ use std::time::Instant;
 use viva::{AnalysisSession, Camera, SessionBuilder, Viewport};
 use viva_agg::TimeSlice;
 use viva_obs::{Recorder, Tracer};
+use viva_server::protocol::Command;
+use viva_server::{content_hash, Server, ServerLimits, StoredTrace};
 use viva_trace::{ContainerKind, Event, Trace, TraceBuilder};
 
 struct Scale {
@@ -108,8 +115,8 @@ const PHASES: [&str; 3] = ["lod.geometry", "lod.cut", "svg.encode"];
 
 /// Per-phase medians of `renders` traced frames: each frame runs under
 /// its own sampled root span, `prepare` runs before it, outside the
-/// root. A phase a frame did not record counts as 0 ms for it. Also
-/// returns the median wall time of the whole render.
+/// root (see [`phase_medians`]). Also returns the median wall time of
+/// the whole render.
 fn phase_breakdown(
     session: &mut AnalysisSession,
     tracer: &Tracer,
@@ -127,10 +134,22 @@ fn phase_breakdown(
         total.push(t0.elapsed().as_secs_f64() * 1e3);
         drop(root);
     }
+    let phases = phase_medians(tracer, before.len(), &PHASES);
+    (median(&mut total), phases)
+}
+
+/// Per-`render`-root medians of the time spent in each of `phases`,
+/// over the spans `tracer` finished after the first `skip`. A phase a
+/// frame did not record counts as 0 ms for it.
+fn phase_medians(
+    tracer: &Tracer,
+    skip: usize,
+    phases: &[&'static str],
+) -> Vec<(&'static str, f64)> {
     let (spans, dropped) = tracer.finished_spans();
     assert_eq!(dropped, 0, "span ring overflowed");
-    let spans = &spans[before.len()..];
-    let phases = PHASES
+    let spans = &spans[skip..];
+    phases
         .iter()
         .map(|&name| {
             let mut per_frame: Vec<f64> = spans
@@ -145,8 +164,65 @@ fn phase_breakdown(
                 .collect();
             (name, median(&mut per_frame))
         })
-        .collect();
-    (median(&mut total), phases)
+        .collect()
+}
+
+/// The reply phases of a frame served through the server.
+const REPLY_PHASES: [&str; 2] = ["svg.encode", "response.encode"];
+
+/// The dense frame over the wire codec: a traced server attached to
+/// `session`'s trace and index answers a `set_time_slice` to each of
+/// `windows` and then the dense `render`, so every frame is drawn, not
+/// served from the frame cache. Returns the median `handle_line` wall
+/// time of the renders, the medians of [`REPLY_PHASES`] and the reply
+/// line's length in bytes.
+fn dense_reply(
+    session: &AnalysisSession,
+    windows: &[TimeSlice],
+    dense: &Viewport,
+) -> (f64, Vec<(&'static str, f64)>, usize) {
+    let tracer = Tracer::enabled(1, 0, 1);
+    let server = Server::with_observability(
+        ServerLimits::default(),
+        Recorder::disabled().with_tracer(tracer.clone()),
+    );
+    server.store().insert(
+        "scale",
+        StoredTrace {
+            trace: session.shared_trace(),
+            index: session.shared_index(),
+            hash: content_hash(b"scale"),
+            events: 0,
+        },
+    );
+    let run = |cmd: Command| server.handle_line(&cmd.encode()).expect("one reply per command");
+    assert!(run(Command::Attach { session: "s".into(), trace: "scale".into() })
+        .starts_with(r#"{"ok":"attached""#));
+    let camera = dense.camera.expect("the dense viewport has a camera");
+    let render = Command::Render {
+        session: "s".into(),
+        width: dense.width,
+        height: dense.height,
+        theme: dense.theme,
+        labels: dense.labels,
+        zoom: Some(camera.zoom),
+        pan_x: Some(camera.pan_x),
+        pan_y: Some(camera.pan_y),
+    }
+    .encode();
+    let (before, _) = tracer.finished_spans();
+    let mut total = Vec::with_capacity(windows.len());
+    let mut bytes = 0;
+    for w in windows {
+        run(Command::SetTimeSlice { session: "s".into(), start: w.start(), end: w.end() });
+        let t0 = Instant::now();
+        let reply = server.handle_line(&render).expect("one reply per command");
+        total.push(t0.elapsed().as_secs_f64() * 1e3);
+        assert!(reply.contains(r#""cached":false,"svg":"<svg "#), "a drawn frame");
+        bytes = reply.len();
+    }
+    let phases = phase_medians(&tracer, before.len(), &REPLY_PHASES);
+    (median(&mut total), phases, bytes)
 }
 
 /// `{ "total": t, "lod.geometry": g, ... }` for BENCH_scale.json.
@@ -157,6 +233,13 @@ fn phases_json(total: f64, phases: &[(&str, f64)]) -> String {
     }
     out.push_str(" }");
     out
+}
+
+/// [`phases_json`] for the dense reply, with its size and gate.
+fn reply_json(total: f64, phases: &[(&str, f64)], bytes: usize) -> String {
+    let phases = phases_json(total, phases);
+    let open = phases.strip_suffix(" }").expect("phases_json closes with a brace");
+    format!("{open}, \"reply_bytes\": {bytes}, \"response_encode_gate\": 0.5 }}")
 }
 
 fn print_phases(label: &str, total: f64, phases: &[(&str, f64)]) {
@@ -302,6 +385,19 @@ fn main() {
         s.layout_mut();
     });
     print_phases("dense frame after a layout change", cold_ms, &cold_phases);
+    let (reply_ms, reply_phases, reply_bytes) = dense_reply(&session, &ws, &dense);
+    let reply_encode = reply_phases
+        .iter()
+        .find(|(name, _)| *name == "response.encode")
+        .map_or(f64::NAN, |p| p.1);
+    println!(
+        "  dense reply through handle_line: {reply_ms:.2} ms, {reply_bytes} bytes; {}",
+        reply_phases
+            .iter()
+            .map(|(n, ms)| format!("{n} {ms:.2} ms"))
+            .collect::<Vec<_>>()
+            .join(", ")
+    );
 
     if small {
         println!("  smoke mode: memory and tiling gates passed, timings not asserted");
@@ -313,12 +409,17 @@ fn main() {
     assert!(zoom_med < 16.0, "LoD zoomed render {zoom_med:.2} ms breaches the 16 ms budget");
     assert!(dense_med <= 16.0, "LoD dense render {dense_med:.2} ms breaches the 16 ms budget");
     assert!(over_med <= 1.0, "LoD overview render {over_med:.2} ms breaches its 1 ms budget");
+    assert!(
+        reply_encode <= 0.5,
+        "dense reply response.encode {reply_encode:.2} ms breaches its 0.5 ms budget"
+    );
 
     let json = format!(
-        "{{\n  \"benchmark\": \"scale\",\n  \"trace\": {{ \"hosts\": {hosts}, \"events\": {events} }},\n  \"generator\": {{ \"seconds\": {gen_s:.3}, \"events_per_sec\": {events_per_s:.0} }},\n  \"memory\": {{\n    \"row_baseline_bytes\": {row_bytes},\n    \"columnar_bytes\": {col_bytes},\n    \"ratio\": {ratio:.4},\n    \"gate\": 0.6\n  }},\n  \"latency_ms\": {{\n    \"slice_change\": {slice_med:.3},\n    \"lod_render_overview\": {over_med:.3},\n    \"lod_render_zoomed\": {zoom_med:.3},\n    \"lod_render_dense\": {dense_med:.3},\n    \"lod_render_first\": {first_ms:.3},\n    \"gate\": 16.0,\n    \"overview_gate\": 1.0\n  }},\n  \"phases_ms\": {{\n    \"first\": {},\n    \"dense\": {},\n    \"dense_after_layout_change\": {}\n  }},\n  \"scene\": {{ \"overview_nodes\": {}, \"overview_tiles\": {}, \"zoomed_nodes\": {}, \"zoomed_tiles\": {}, \"dense_nodes\": {}, \"dense_tiles\": {} }}\n}}\n",
+        "{{\n  \"benchmark\": \"scale\",\n  \"trace\": {{ \"hosts\": {hosts}, \"events\": {events} }},\n  \"generator\": {{ \"seconds\": {gen_s:.3}, \"events_per_sec\": {events_per_s:.0} }},\n  \"memory\": {{\n    \"row_baseline_bytes\": {row_bytes},\n    \"columnar_bytes\": {col_bytes},\n    \"ratio\": {ratio:.4},\n    \"gate\": 0.6\n  }},\n  \"latency_ms\": {{\n    \"slice_change\": {slice_med:.3},\n    \"lod_render_overview\": {over_med:.3},\n    \"lod_render_zoomed\": {zoom_med:.3},\n    \"lod_render_dense\": {dense_med:.3},\n    \"lod_render_first\": {first_ms:.3},\n    \"gate\": 16.0,\n    \"overview_gate\": 1.0\n  }},\n  \"phases_ms\": {{\n    \"first\": {},\n    \"dense\": {},\n    \"dense_after_layout_change\": {},\n    \"dense_reply\": {}\n  }},\n  \"scene\": {{ \"overview_nodes\": {}, \"overview_tiles\": {}, \"zoomed_nodes\": {}, \"zoomed_tiles\": {}, \"dense_nodes\": {}, \"dense_tiles\": {} }}\n}}\n",
         phases_json(first_ms, &first_phases),
         phases_json(warm_ms, &warm_phases),
         phases_json(cold_ms, &cold_phases),
+        reply_json(reply_ms, &reply_phases, reply_bytes),
         view.nodes.len(),
         view.tiles.len(),
         zoomed_view.nodes.len(),

@@ -374,39 +374,6 @@ impl AnalysisSession {
         SessionBuilder::new(trace)
     }
 
-    /// Creates a session over `trace` alone; the topology graph is
-    /// inferred from the trace's communication pairs.
-    #[deprecated(since = "0.3.0", note = "use `AnalysisSession::builder(trace).config(config).build()`")]
-    pub fn new(trace: Trace, config: SessionConfig) -> AnalysisSession {
-        AnalysisSession::builder(trace).config(config).build()
-    }
-
-    /// Creates a session over a trace recorded on `platform`.
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `AnalysisSession::builder(trace).config(config).platform(platform).build()`"
-    )]
-    pub fn with_platform(
-        trace: Trace,
-        config: SessionConfig,
-        platform: &Platform,
-    ) -> AnalysisSession {
-        AnalysisSession::builder(trace).config(config).platform(platform).build()
-    }
-
-    /// Creates a session with explicit leaf-container relationships.
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `AnalysisSession::builder(trace).config(config).edges(leaf_edges).build()`"
-    )]
-    pub fn with_edges(
-        trace: Trace,
-        config: SessionConfig,
-        leaf_edges: Vec<(ContainerId, ContainerId)>,
-    ) -> AnalysisSession {
-        AnalysisSession::builder(trace).config(config).edges(leaf_edges).build()
-    }
-
     /// Charge of a (possibly aggregated) node: the number of leaves it
     /// stands for (§4.2: an aggregate's charge is the sum of its
     /// members').
@@ -1113,26 +1080,34 @@ impl AnalysisSession {
     /// level-of-detail cut; without one it takes the classic path,
     /// byte-identical to pre-camera releases.
     pub fn render(&self, viewport: &Viewport) -> String {
+        self.render_as(viewport, svg::Encoding::Svg)
+    }
+
+    /// [`AnalysisSession::render`]'s document as one JSON string
+    /// literal, quotes included: byte for byte what a JSON writer
+    /// makes of the SVG. The same scene and the same encoder, which
+    /// escapes each fragment as it writes it — so a server can splice
+    /// the body into a reply without a pass over the document.
+    pub fn render_json_body(&self, viewport: &Viewport) -> String {
+        self.render_as(viewport, svg::Encoding::JsonString)
+    }
+
+    fn render_as(&self, viewport: &Viewport, enc: svg::Encoding) -> String {
+        let opts = svg::SvgOptions::from(viewport);
         match viewport.camera {
             None => {
                 let view = self.view();
                 let _timer = self.obs.as_ref().map(|obs| obs.render_seconds.start_timer());
                 let _phase = self.recorder.tracer().phase("svg.encode");
-                svg::render(&view, &svg::SvgOptions::from(viewport))
+                svg::render_fitted(&view, &opts, enc)
             }
             Some(cam) => {
                 let (view, proj) = self.lod_scene(&cam, viewport);
                 let _timer = self.obs.as_ref().map(|obs| obs.render_seconds.start_timer());
                 let _phase = self.recorder.tracer().phase("svg.encode");
-                svg::render_projected(&view, &svg::SvgOptions::from(viewport), &proj)
+                svg::render_projected(&view, &opts, &proj, enc)
             }
         }
-    }
-
-    /// Renders the current view to an SVG document.
-    #[deprecated(since = "0.3.0", note = "use `render(&Viewport::new(width, height))`")]
-    pub fn render_svg(&self, width: f64, height: f64) -> String {
-        self.render(&Viewport::new(width, height))
     }
 
     /// Aggregates `metric` over the subtree of `group` and the current
@@ -1625,37 +1600,6 @@ mod tests {
         s.set_breakdown_metrics(vec!["power_used".into()]).unwrap();
         let h = s.trace().containers().by_name("c1-h0").unwrap().id();
         assert_eq!(s.view().node(h).unwrap().segments.len(), 1);
-    }
-
-    #[test]
-    fn deprecated_shims_match_builder() {
-        // Shims and builder must produce identical sessions; this is
-        // also the coverage that keeps the deprecated trio compiling.
-        #[allow(deprecated)]
-        fn shim_views() -> (GraphView, GraphView, GraphView) {
-            let mk = || {
-                let mut b = TraceBuilder::new();
-                let power = b.metric("power", "MFlop/s");
-                let h1 = b.new_container(b.root(), "h1", ContainerKind::Host).unwrap();
-                let h2 = b.new_container(b.root(), "h2", ContainerKind::Host).unwrap();
-                b.set_variable(0.0, h1, power, 10.0).unwrap();
-                b.set_variable(0.0, h2, power, 20.0).unwrap();
-                b.link(1.0, 2.0, h1, h2, 8.0).unwrap();
-                (b.finish(10.0), h1, h2)
-            };
-            let (t1, _, _) = mk();
-            let (t2, a, b) = mk();
-            let (t3, _, _) = mk();
-            (
-                AnalysisSession::new(t1, SessionConfig::default()).view(),
-                AnalysisSession::with_edges(t2, SessionConfig::default(), vec![(a, b)]).view(),
-                AnalysisSession::builder(t3).build().view(),
-            )
-        }
-        let (via_new, via_edges, via_builder) = shim_views();
-        assert_eq!(via_new, via_builder);
-        // Communication pairs of the single link = the explicit edge.
-        assert_eq!(via_new.edges, via_edges.edges);
     }
 
     #[test]

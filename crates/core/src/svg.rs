@@ -124,6 +124,192 @@ impl Projection {
     }
 }
 
+/// What the encoder writes: the SVG document itself, or the same
+/// document as one JSON string literal, quotes included — the body of
+/// a frame reply. The JSON form is escaped where each fragment is
+/// written, not by a pass over the finished document: a dense frame
+/// needs an escape every few bytes, and a post-pass pays per escape.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Encoding {
+    /// The SVG document.
+    Svg,
+    /// The SVG document as a JSON string literal.
+    JsonString,
+}
+
+/// The JSON escape of byte `b` — exactly what the server's JSON writer
+/// emits for it — or `""` when `b` stands for itself.
+const fn json_escape(b: u8) -> &'static str {
+    const CONTROL: [&str; 32] = [
+        "\\u0000", "\\u0001", "\\u0002", "\\u0003", "\\u0004", "\\u0005", "\\u0006", "\\u0007",
+        "\\b", "\\t", "\\n", "\\u000b", "\\f", "\\r", "\\u000e", "\\u000f",
+        "\\u0010", "\\u0011", "\\u0012", "\\u0013", "\\u0014", "\\u0015", "\\u0016", "\\u0017",
+        "\\u0018", "\\u0019", "\\u001a", "\\u001b", "\\u001c", "\\u001d", "\\u001e", "\\u001f",
+    ];
+    match b {
+        b'"' => "\\\"",
+        b'\\' => "\\\\",
+        0x00..=0x1f => CONTROL[b as usize],
+        _ => "",
+    }
+}
+
+/// Length of `s` JSON-escaped (without surrounding quotes).
+const fn json_len(s: &str) -> usize {
+    let b = s.as_bytes();
+    let (mut i, mut n) = (0, 0);
+    while i < b.len() {
+        let e = json_escape(b[i]).len();
+        n += if e == 0 { 1 } else { e };
+        i += 1;
+    }
+    n
+}
+
+/// `s` JSON-escaped into exactly `N = json_len(s)` bytes.
+const fn json_twin<const N: usize>(s: &str) -> [u8; N] {
+    let b = s.as_bytes();
+    let mut out = [0u8; N];
+    let (mut i, mut n) = (0, 0);
+    while i < b.len() {
+        let e = json_escape(b[i]).as_bytes();
+        if e.is_empty() {
+            out[n] = b[i];
+            n += 1;
+        } else {
+            let mut j = 0;
+            while j < e.len() {
+                out[n] = e[j];
+                n += 1;
+                j += 1;
+            }
+        }
+        i += 1;
+    }
+    out
+}
+
+/// A fixed fragment of markup and its JSON-escaped twin, in
+/// [`Encoding`] order. Built only by [`lit!`], at compile time.
+#[derive(Clone, Copy)]
+struct Lit([&'static str; 2]);
+
+/// The [`Lit`] of a constant string: the twin is computed by a `const`
+/// evaluation, so choosing the encoding costs a branch per fragment.
+macro_rules! lit {
+    ($raw:expr) => {{
+        const RAW: &str = $raw;
+        const TWIN: [u8; json_len(RAW)] = json_twin(RAW);
+        const LIT: Lit = Lit([
+            RAW,
+            match std::str::from_utf8(&TWIN) {
+                Ok(s) => s,
+                Err(_) => panic!("escaping ASCII bytes keeps UTF-8 valid"),
+            },
+        ]);
+        LIT
+    }};
+}
+
+/// Whether `s` reads the same as markup text, as an attribute value
+/// and inside a JSON string: no XML special, no JSON escape.
+fn is_plain(s: &str) -> bool {
+    s.bytes().all(|b| json_escape(b).is_empty() && !matches!(b, b'&' | b'<' | b'>'))
+}
+
+/// The encoder's output buffer in one [`Encoding`]. Fixed fragments go
+/// through [`Out::lit`]; numbers, colours and names are plain by
+/// construction (checked in debug builds); user strings go through
+/// [`Out::text`].
+struct Out {
+    buf: String,
+    enc: Encoding,
+}
+
+impl Out {
+    fn new(capacity: usize, enc: Encoding) -> Out {
+        let mut buf = String::with_capacity(capacity);
+        if enc == Encoding::JsonString {
+            buf.push('"');
+        }
+        Out { buf, enc }
+    }
+
+    fn finish(mut self) -> String {
+        if self.enc == Encoding::JsonString {
+            self.buf.push('"');
+        }
+        self.buf
+    }
+
+    /// A branch per fragment rather than an index: each arm copies a
+    /// string of constant length, which the compiler does inline.
+    #[inline(always)]
+    fn lit(&mut self, lit: Lit) {
+        match self.enc {
+            Encoding::Svg => self.buf.push_str(lit.0[0]),
+            Encoding::JsonString => self.buf.push_str(lit.0[1]),
+        }
+    }
+
+    /// Appends a fragment that needs no escape in either encoding.
+    #[inline]
+    fn plain(&mut self, s: &str) {
+        debug_assert!(is_plain(s), "{s:?} needs escaping");
+        self.buf.push_str(s);
+    }
+
+    /// Runs a writer whose output must be plain (see [`is_plain`]).
+    #[inline]
+    fn plain_with(&mut self, write: impl FnOnce(&mut String)) {
+        let at = self.buf.len();
+        write(&mut self.buf);
+        debug_assert!(is_plain(&self.buf[at..]), "{:?} needs escaping", &self.buf[at..]);
+    }
+
+    fn fixed(&mut self, v: f64, decimals: usize) {
+        self.plain_with(|b| push_fixed(b, v, decimals));
+    }
+
+    fn uint(&mut self, v: u64) {
+        self.plain_with(|b| push_uint(b, v));
+    }
+
+    fn hex(&mut self, color: Color) {
+        self.plain_with(|b| color.push_hex(b));
+    }
+
+    /// Appends `v` as `format!("{v}")` writes it.
+    fn display(&mut self, v: f64) {
+        self.plain_with(|b| {
+            let _ = write!(b, "{v}");
+        });
+    }
+
+    /// Appends a user string XML-escaped — `&`, `<` and `>` always,
+    /// and `"` too when `quote` is set (the value then lands inside a
+    /// `"…"` attribute) — and, in the JSON encoding, JSON-escaped on
+    /// top, in the same pass.
+    fn text(&mut self, s: &str, quote: bool) {
+        let json = self.enc == Encoding::JsonString;
+        let mut run = 0;
+        for (i, b) in s.bytes().enumerate() {
+            let escape = match b {
+                b'&' => "&amp;",
+                b'<' => "&lt;",
+                b'>' => "&gt;",
+                b'"' if quote => "&quot;",
+                _ if json && !json_escape(b).is_empty() => json_escape(b),
+                _ => continue,
+            };
+            self.buf.push_str(&s[run..i]);
+            self.buf.push_str(escape);
+            run = i + 1;
+        }
+        self.buf.push_str(&s[run..]);
+    }
+}
+
 /// Appends `v` exactly as `format!("{v:.N}")` writes it, for
 /// `N = decimals` (2 or 3) — without going through `core::fmt` on the
 /// common path. The fast path rounds `|v|·10^N` to the nearest
@@ -187,43 +373,24 @@ fn push_uint(out: &mut String, v: u64) {
     out.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
 }
 
-/// Appends `s` XML-escaped: `&`, `<` and `>` always, and `"` too when
-/// `quote` is set — the value then lands inside a `"…"` attribute.
-fn push_escaped(out: &mut String, s: &str, quote: bool) {
-    let mut run = 0;
-    for (i, b) in s.bytes().enumerate() {
-        let entity = match b {
-            b'&' => "&amp;",
-            b'<' => "&lt;",
-            b'>' => "&gt;",
-            b'"' if quote => "&quot;",
-            _ => continue,
-        };
-        out.push_str(&s[run..i]);
-        out.push_str(entity);
-        run = i + 1;
-    }
-    out.push_str(&s[run..]);
-}
-
 /// Opens `<tag` followed by ` name="v"` per attribute, each `v`
 /// written as `{:.2}`.
-fn open_element(out: &mut String, tag: &str, attrs: &[(&str, f64)]) {
-    out.push('<');
-    out.push_str(tag);
+fn open_element(out: &mut Out, tag: &str, attrs: &[(&str, f64)]) {
+    out.lit(lit!("<"));
+    out.plain(tag);
     for &(name, v) in attrs {
-        out.push(' ');
-        out.push_str(name);
-        out.push_str("=\"");
-        push_fixed(out, v, 2);
-        out.push('"');
+        out.lit(lit!(" "));
+        out.plain(name);
+        out.lit(lit!("=\""));
+        out.fixed(v, 2);
+        out.lit(lit!("\""));
     }
 }
 
 /// Opens a shape element at `center` of side/diameter `size`, up to
 /// and including the space before its style attributes; the caller
 /// writes the style and closes it with `/>`.
-fn open_shape(out: &mut String, shape: Shape, center: Vec2, size: f64) {
+fn open_shape(out: &mut Out, shape: Shape, center: Vec2, size: f64) {
     let h = size / 2.0;
     match shape {
         Shape::Square => {
@@ -231,7 +398,7 @@ fn open_shape(out: &mut String, shape: Shape, center: Vec2, size: f64) {
             open_element(out, "rect", &[("x", x), ("y", y), ("width", size), ("height", size)]);
         }
         Shape::Diamond => {
-            out.push_str(r#"<polygon points=""#);
+            out.lit(lit!(r#"<polygon points=""#));
             for (i, (x, y)) in [
                 (center.x, center.y - h),
                 (center.x + h, center.y),
@@ -242,87 +409,87 @@ fn open_shape(out: &mut String, shape: Shape, center: Vec2, size: f64) {
             .enumerate()
             {
                 if i > 0 {
-                    out.push(' ');
+                    out.lit(lit!(" "));
                 }
-                push_fixed(out, x, 2);
-                out.push(',');
-                push_fixed(out, y, 2);
+                out.fixed(x, 2);
+                out.lit(lit!(","));
+                out.fixed(y, 2);
             }
-            out.push('"');
+            out.lit(lit!("\""));
         }
         Shape::Circle => open_element(out, "circle", &[("cx", center.x), ("cy", center.y), ("r", h)]),
     }
-    out.push(' ');
+    out.lit(lit!(" "));
 }
 
 /// A shape outlined in `color`, unfilled.
-fn write_outline(out: &mut String, shape: Shape, center: Vec2, size: f64, color: Color, width: &str) {
+fn write_outline(out: &mut Out, shape: Shape, center: Vec2, size: f64, color: Color, width: &str) {
     open_shape(out, shape, center, size);
-    out.push_str(r#"fill="none" stroke=""#);
-    color.push_hex(out);
-    out.push_str(r#"" stroke-width=""#);
-    out.push_str(width);
-    out.push_str(r#""/>"#);
+    out.lit(lit!(r#"fill="none" stroke=""#));
+    out.hex(color);
+    out.lit(lit!(r#"" stroke-width=""#));
+    out.plain(width);
+    out.lit(lit!(r#""/>"#));
 }
 
 /// Closes an element with the translucent proportional-fill style.
-fn close_fill(out: &mut String, color: Color) {
-    out.push_str(r#"fill=""#);
-    color.push_hex(out);
-    out.push_str(r#"" fill-opacity="0.75"/>"#);
+fn close_fill(out: &mut Out, color: Color) {
+    out.lit(lit!(r#"fill=""#));
+    out.hex(color);
+    out.lit(lit!(r#"" fill-opacity="0.75"/>"#));
 }
 
 /// A label under a glyph: `<text …>label</text>`.
-fn write_label(out: &mut String, x: f64, y: f64, opts: &SvgOptions, label: &str) {
+fn write_label(out: &mut Out, x: f64, y: f64, opts: &SvgOptions, label: &str) {
     open_element(out, "text", &[("x", x), ("y", y)]);
-    out.push_str(r#" font-size="9" text-anchor="middle" fill=""#);
-    out.push_str(opts.theme.label_fill());
-    out.push_str(r#"">"#);
-    push_escaped(out, label, false);
-    out.push_str("</text>");
+    out.lit(lit!(r#" font-size="9" text-anchor="middle" fill=""#));
+    out.plain(opts.theme.label_fill());
+    out.lit(lit!(r#"">"#));
+    out.text(label, false);
+    out.lit(lit!("</text>"));
 }
 
 /// Stroke color marking resources that failed during the slice.
 const FAULT_STROKE: &str = "#cc2222";
 
-fn write_node(out: &mut String, node: &ViewNode, center: Vec2, opts: &SvgOptions) {
+fn write_node(out: &mut Out, node: &ViewNode, center: Vec2, opts: &SvgOptions) {
     let color = kind_color(node.kind);
-    out.push_str(r#"<g class="node node-"#);
-    out.push_str(node.shape.label());
+    out.lit(lit!(r#"<g class="node node-"#));
+    out.plain(node.shape.label());
     if node.is_degraded() {
         // Failed (or partially failed, for aggregates) resources are
         // rendered distinctly: the exact availability travels as a data
         // attribute, the outline below switches to a dashed red stroke.
-        out.push_str(" degraded");
+        out.lit(lit!(" degraded"));
     }
-    out.push_str(r#"" data-container=""#);
-    push_uint(out, node.container.index() as u64);
-    out.push_str(r#"" data-members=""#);
-    push_uint(out, node.members as u64);
-    out.push('"');
+    out.lit(lit!(r#"" data-container=""#));
+    out.uint(node.container.index() as u64);
+    out.lit(lit!(r#"" data-members=""#));
+    out.uint(node.members as u64);
+    out.lit(lit!("\""));
     if node.is_degraded() {
-        out.push_str(r#" data-availability=""#);
-        push_fixed(out, node.availability, 3);
-        out.push('"');
+        out.lit(lit!(r#" data-availability=""#));
+        out.fixed(node.availability, 3);
+        out.lit(lit!("\""));
     }
     // Ingest trust annotation: values under a quarantine-marked node
     // were computed after dropping non-finite samples.
     if node.quarantined > 0 {
-        out.push_str(r#" data-quarantined=""#);
-        push_uint(out, node.quarantined);
-        out.push('"');
+        out.lit(lit!(r#" data-quarantined=""#));
+        out.uint(node.quarantined);
+        out.lit(lit!("\""));
     }
-    out.push('>');
+    out.lit(lit!(">"));
     // Outline: dashed red for anything that was down during the slice.
     open_shape(out, node.shape, center, node.px_size);
     if node.is_degraded() {
-        out.push_str(r#"fill="none" stroke=""#);
-        out.push_str(FAULT_STROKE);
-        out.push_str(r#"" stroke-width="1.5" stroke-dasharray="4 2"/>"#);
+        out.lit(lit!(r#"fill="none" stroke=""#));
+        out.plain(FAULT_STROKE);
+        out.lit(lit!(r#"" stroke-width="1.5" stroke-dasharray="4 2"/>"#));
     } else {
-        out.push_str(r#"fill="none" stroke=""#);
-        color.push_hex(out);
-        out.push_str(r#"" stroke-width="1.5"/>"#);
+        out.lit(lit!(r#"fill="none" stroke=""#));
+        out.hex(color);
+        out.lit(lit!(r#"" stroke-width="1.5"/>"#));
     }
     // Proportional fill (§3.1): squares fill bottom-up; diamonds and
     // circles get an inner shape of proportional area.
@@ -333,7 +500,7 @@ fn write_node(out: &mut String, node: &ViewNode, center: Vec2, opts: &SvgOptions
                 let fh = s * node.fill_fraction;
                 let (x, y) = (center.x - s / 2.0, center.y + s / 2.0 - fh);
                 open_element(out, "rect", &[("x", x), ("y", y), ("width", s), ("height", fh)]);
-                out.push(' ');
+                out.lit(lit!(" "));
             }
             Shape::Diamond | Shape::Circle => {
                 let inner = node.px_size * node.fill_fraction.sqrt();
@@ -366,32 +533,35 @@ fn write_node(out: &mut String, node: &ViewNode, center: Vec2, opts: &SvgOptions
             if *share >= 1.0 - 1e-9 {
                 open_shape(out, Shape::Circle, at, 2.0 * r);
             } else {
-                out.push_str(r#"<path d="M "#);
-                for (p, sep) in [(at.x, " "), (at.y, " L "), (x0, " "), (y0, " A ")] {
-                    push_fixed(out, p, 2);
-                    out.push_str(sep);
+                out.lit(lit!(r#"<path d="M "#));
+                for (p, sep) in
+                    [(at.x, lit!(" ")), (at.y, lit!(" L ")), (x0, lit!(" ")), (y0, lit!(" A "))]
+                {
+                    out.fixed(p, 2);
+                    out.lit(sep);
                 }
-                push_fixed(out, r, 2);
-                out.push(' ');
-                push_fixed(out, r, 2);
-                out.push_str(if sweep > std::f64::consts::PI { " 0 1 1 " } else { " 0 0 1 " });
-                push_fixed(out, x1, 2);
-                out.push(' ');
-                push_fixed(out, y1, 2);
-                out.push_str(r#" Z" "#);
+                out.fixed(r, 2);
+                out.lit(lit!(" "));
+                out.fixed(r, 2);
+                let arc = if sweep > std::f64::consts::PI { lit!(" 0 1 1 ") } else { lit!(" 0 0 1 ") };
+                out.lit(arc);
+                out.fixed(x1, 2);
+                out.lit(lit!(" "));
+                out.fixed(y1, 2);
+                out.lit(lit!(r#" Z" "#));
             }
-            out.push_str(r#"fill=""#);
-            crate::color::account_color(i).push_hex(out);
-            out.push_str(r#"" class="pie" data-metric=""#);
-            push_escaped(out, name, true);
-            out.push_str(r#""/>"#);
+            out.lit(lit!(r#"fill=""#));
+            out.hex(crate::color::account_color(i));
+            out.lit(lit!(r#"" class="pie" data-metric=""#));
+            out.text(name, true);
+            out.lit(lit!(r#""/>"#));
             angle = end;
         }
     }
     if opts.labels {
         write_label(out, center.x, center.y + node.px_size / 2.0 + 10.0, opts, &node.label);
     }
-    out.push_str("</g>\n");
+    out.lit(lit!("</g>\n"));
 }
 
 /// The aggregate tile glyph of a level-of-detail render: a dashed
@@ -400,7 +570,7 @@ fn write_node(out: &mut String, node: &ViewNode, center: Vec2, opts: &SvgOptions
 /// stands for. Degenerate footprints are grown to a readable minimum
 /// and the whole glyph is clamped into the canvas, so fully-offscreen
 /// subtrees hug the nearest border.
-fn write_tile(out: &mut String, tile: &ViewTile, proj: &Projection, opts: &SvgOptions) {
+fn write_tile(out: &mut Out, tile: &ViewTile, proj: &Projection, opts: &SvgOptions) {
     const MIN_SIDE: f64 = 12.0;
     const MARGIN: f64 = 3.0;
     let a = proj.project(tile.lo);
@@ -416,76 +586,82 @@ fn write_tile(out: &mut String, tile: &ViewTile, proj: &Projection, opts: &SvgOp
     let (x, w) = clamp_span(a.x, b.x, opts.width);
     let (y, h) = clamp_span(a.y, b.y, opts.height);
     let color = kind_color(tile.kind);
-    out.push_str(r#"<g class="tile"#);
+    out.lit(lit!(r#"<g class="tile"#));
     if tile.is_degraded() {
-        out.push_str(" degraded");
+        out.lit(lit!(" degraded"));
     }
     if tile.offscreen {
-        out.push_str(" offscreen");
+        out.lit(lit!(" offscreen"));
     }
-    out.push_str(r#"" data-container=""#);
-    push_uint(out, tile.container.index() as u64);
-    out.push_str(r#"" data-nodes=""#);
-    push_uint(out, tile.nodes as u64);
-    out.push_str(r#"" data-size=""#);
-    push_fixed(out, tile.size_value, 3);
-    out.push_str(r#"" data-fill=""#);
-    push_fixed(out, tile.fill_value, 3);
-    out.push_str(r#"" data-availability=""#);
-    push_fixed(out, tile.availability, 3);
-    out.push('"');
+    out.lit(lit!(r#"" data-container=""#));
+    out.uint(tile.container.index() as u64);
+    out.lit(lit!(r#"" data-nodes=""#));
+    out.uint(tile.nodes as u64);
+    out.lit(lit!(r#"" data-size=""#));
+    out.fixed(tile.size_value, 3);
+    out.lit(lit!(r#"" data-fill=""#));
+    out.fixed(tile.fill_value, 3);
+    out.lit(lit!(r#"" data-availability=""#));
+    out.fixed(tile.availability, 3);
+    out.lit(lit!("\""));
     if tile.quarantined > 0 {
-        out.push_str(r#" data-quarantined=""#);
-        push_uint(out, tile.quarantined);
-        out.push('"');
+        out.lit(lit!(r#" data-quarantined=""#));
+        out.uint(tile.quarantined);
+        out.lit(lit!("\""));
     }
     if !tile.segments.is_empty() {
-        out.push_str(r#" data-mix=""#);
+        out.lit(lit!(r#" data-mix=""#));
         for (i, (name, share)) in tile.segments.iter().enumerate() {
             if i > 0 {
-                out.push(';');
+                out.lit(lit!(";"));
             }
-            push_escaped(out, name, true);
-            out.push(':');
-            push_fixed(out, *share, 3);
+            out.text(name, true);
+            out.lit(lit!(":"));
+            out.fixed(*share, 3);
         }
-        out.push('"');
+        out.lit(lit!("\""));
     }
-    out.push('>');
+    out.lit(lit!(">"));
     open_element(out, "rect", &[("x", x), ("y", y), ("width", w), ("height", h)]);
-    out.push_str(r#" rx="3" fill="none" stroke=""#);
+    out.lit(lit!(r#" rx="3" fill="none" stroke=""#));
     if tile.is_degraded() {
-        out.push_str(FAULT_STROKE);
+        out.plain(FAULT_STROKE);
     } else {
-        color.push_hex(out);
+        out.hex(color);
     }
-    out.push_str(r#"" stroke-width="1.2" stroke-dasharray="2 3"/>"#);
+    out.lit(lit!(r#"" stroke-width="1.2" stroke-dasharray="2 3"/>"#));
     if tile.fill_fraction > 0.0 {
         let fh = h * tile.fill_fraction;
         open_element(out, "rect", &[("x", x), ("y", y + h - fh), ("width", w), ("height", fh)]);
-        out.push_str(r#" fill=""#);
-        color.push_hex(out);
-        out.push_str(r#"" fill-opacity="0.35"/>"#);
+        out.lit(lit!(r#" fill=""#));
+        out.hex(color);
+        out.lit(lit!(r#"" fill-opacity="0.35"/>"#));
     }
     open_element(out, "text", &[("x", x + w / 2.0), ("y", y + h / 2.0 + 3.5)]);
-    out.push_str(r#" font-size="10" text-anchor="middle" fill=""#);
-    out.push_str(opts.theme.label_fill());
-    out.push_str(r#"">"#);
-    push_uint(out, tile.nodes as u64);
-    out.push_str("</text>");
+    out.lit(lit!(r#" font-size="10" text-anchor="middle" fill=""#));
+    out.plain(opts.theme.label_fill());
+    out.lit(lit!(r#"">"#));
+    out.uint(tile.nodes as u64);
+    out.lit(lit!("</text>"));
     if opts.labels {
         write_label(out, x + w / 2.0, y + h + 10.0, opts, &tile.label);
     }
-    out.push_str("</g>\n");
+    out.lit(lit!("</g>\n"));
 }
 
 /// Renders a view to a standalone SVG document.
 pub fn render(view: &GraphView, opts: &SvgOptions) -> String {
-    render_projected(view, opts, &Projection::fit(view, opts))
+    render_fitted(view, opts, Encoding::Svg)
+}
+
+/// [`render`] in either [`Encoding`] — the classic (camera-less) path.
+pub(crate) fn render_fitted(view: &GraphView, opts: &SvgOptions, enc: Encoding) -> String {
+    render_projected(view, opts, &Projection::fit(view, opts), enc)
 }
 
 /// Bytes reserved per drawn element: a little above what a typical
-/// element takes, so one allocation holds the document.
+/// element takes, so one allocation holds the document (the JSON
+/// encoding adds one backslash per quote, about a tenth).
 const NODE_BYTES: usize = 320;
 const TILE_BYTES: usize = 640;
 const EDGE_BYTES: usize = 100;
@@ -493,22 +669,30 @@ const EDGE_BYTES: usize = 100;
 /// [`render`] with an explicit projection — the level-of-detail path,
 /// whose projection is fitted to the *full* frontier bounds (plus
 /// camera) rather than to the subset of nodes that survived the cut.
-pub(crate) fn render_projected(view: &GraphView, opts: &SvgOptions, proj: &Projection) -> String {
-    let mut out = String::with_capacity(
+pub(crate) fn render_projected(
+    view: &GraphView,
+    opts: &SvgOptions,
+    proj: &Projection,
+    enc: Encoding,
+) -> String {
+    let mut out = Out::new(
         1024 + NODE_BYTES * view.nodes.len()
             + TILE_BYTES * view.tiles.len()
             + EDGE_BYTES * view.edges.len(),
+        enc,
     );
-    let _ = writeln!(
-        out,
-        r#"<svg xmlns="http://www.w3.org/2000/svg" width="{}" height="{}" viewBox="0 0 {} {}">"#,
-        opts.width, opts.height, opts.width, opts.height
-    );
-    let _ = writeln!(
-        out,
-        r#"<rect width="100%" height="100%" fill="{}"/>"#,
-        opts.theme.background()
-    );
+    out.lit(lit!(r#"<svg xmlns="http://www.w3.org/2000/svg" width=""#));
+    out.display(opts.width);
+    out.lit(lit!(r#"" height=""#));
+    out.display(opts.height);
+    out.lit(lit!(r#"" viewBox="0 0 "#));
+    out.display(opts.width);
+    out.lit(lit!(" "));
+    out.display(opts.height);
+    out.lit(lit!("\">\n"));
+    out.lit(lit!(r#"<rect width="100%" height="100%" fill=""#));
+    out.plain(opts.theme.background());
+    out.lit(lit!("\"/>\n"));
     // Edges below everything. An endpoint is either a drawn node or,
     // on the level-of-detail path, an aggregate tile (anchored at its
     // world-footprint center); edges to entities in neither list are
@@ -534,9 +718,9 @@ pub(crate) fn render_projected(view: &GraphView, opts: &SvgOptions, proj: &Proje
             let pa = proj.project(a);
             let pb = proj.project(b);
             open_element(&mut out, "line", &[("x1", pa.x), ("y1", pa.y), ("x2", pb.x), ("y2", pb.y)]);
-            out.push_str(r#" stroke=""#);
-            out.push_str(opts.theme.edge_stroke());
-            out.push_str("\" stroke-width=\"1\"/>\n");
+            out.lit(lit!(r#" stroke=""#));
+            out.plain(opts.theme.edge_stroke());
+            out.lit(lit!("\" stroke-width=\"1\"/>\n"));
         }
     }
     // Tiles under the real nodes: they are background context.
@@ -551,17 +735,25 @@ pub(crate) fn render_projected(view: &GraphView, opts: &SvgOptions, proj: &Proje
     // marker — every value on screen was computed without the dropped
     // events and quarantined samples it counts.
     if view.has_degraded_data() {
-        let _ = writeln!(
-            out,
-            r#"<g class="degraded-data-badge" data-dropped="{}" data-quarantined="{}"><rect x="6" y="6" width="14" height="14" fill="none" stroke="{FAULT_STROKE}" stroke-width="1.5" stroke-dasharray="3 2"/><text x="25" y="17" font-size="11" fill="{FAULT_STROKE}">degraded data: {} event(s) dropped, {} sample(s) quarantined</text></g>"#,
-            view.ingest_dropped,
-            view.quarantined_total(),
-            view.ingest_dropped,
-            view.quarantined_total(),
-        );
+        let (dropped, quarantined) = (view.ingest_dropped, view.quarantined_total());
+        out.lit(lit!(r#"<g class="degraded-data-badge" data-dropped=""#));
+        out.uint(dropped);
+        out.lit(lit!(r#"" data-quarantined=""#));
+        out.uint(quarantined);
+        out.lit(lit!(r#""><rect x="6" y="6" width="14" height="14" fill="none" stroke=""#));
+        out.plain(FAULT_STROKE);
+        out.lit(lit!(
+            r#"" stroke-width="1.5" stroke-dasharray="3 2"/><text x="25" y="17" font-size="11" fill=""#
+        ));
+        out.plain(FAULT_STROKE);
+        out.lit(lit!(r#"">degraded data: "#));
+        out.uint(dropped);
+        out.lit(lit!(" event(s) dropped, "));
+        out.uint(quarantined);
+        out.lit(lit!(" sample(s) quarantined</text></g>\n"));
     }
-    out.push_str("</svg>\n");
-    out
+    out.lit(lit!("</svg>\n"));
+    out.finish()
 }
 
 #[cfg(test)]
@@ -816,6 +1008,65 @@ mod escape_tests {
         });
         let svg = render(&tiled, &SvgOptions::default());
         assert!(svg.contains(r#"data-mix="a&quot;b:1.000""#), "{svg}");
+    }
+}
+
+#[cfg(test)]
+mod json_tests {
+    use super::*;
+
+    /// A per-character JSON string writer with the server codec's
+    /// canonical escapes — the reference the JSON encoding must match.
+    fn json_string(s: &str) -> String {
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                '\u{8}' => out.push_str("\\b"),
+                '\u{c}' => out.push_str("\\f"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn literal_twins_are_json_escaped() {
+        let lit = lit!("<a b=\"c\">\\\n\t\u{1}\u{1f}\u{7f}é</a>\n");
+        assert_eq!(lit.0[0], "<a b=\"c\">\\\n\t\u{1}\u{1f}\u{7f}é</a>\n");
+        let quoted = json_string(lit.0[0]);
+        assert_eq!(lit.0[1], &quoted[1..quoted.len() - 1]);
+        for b in 0..=0x7f_u8 {
+            let s = (b as char).to_string();
+            let want = json_string(&s);
+            let escape = json_escape(b);
+            let got = if escape.is_empty() { s } else { escape.to_owned() };
+            assert_eq!(format!("\"{got}\""), want, "byte {b:#x}");
+        }
+    }
+
+    /// Both encodings of the same views: the JSON one is the JSON
+    /// string of the SVG one — labels, attribute values and every
+    /// fixed fragment included.
+    #[test]
+    fn json_encoding_is_the_json_string_of_the_svg() {
+        let mut v = super::tests::view();
+        v.nodes[0].label = "q\"\\&<>\n\t\u{1}\u{7f}é🙂".into();
+        v.nodes[0].segments = vec![("m\"\\\n<&>".into(), 0.25), ("n".into(), 0.75)];
+        v.ingest_dropped = 2;
+        for theme in [Theme::Light, Theme::Dark] {
+            for labels in [false, true] {
+                let opts = SvgOptions { theme, labels, ..Default::default() };
+                let svg = render(&v, &opts);
+                assert_eq!(render_fitted(&v, &opts, Encoding::JsonString), json_string(&svg));
+            }
+        }
     }
 }
 

@@ -12,8 +12,13 @@
 //! Eviction is LRU over a **logical** clock, so cache behaviour — and
 //! with it the `cached` flag in [`crate::protocol::Response::Frame`] —
 //! is deterministic for a given command script.
+//!
+//! A cached frame is the reply's JSON string body, escaped when it was
+//! encoded ([`viva::AnalysisSession::render_json_body`]) and shared as
+//! an `Arc<str>`: a hit costs a reference count, not a copy.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use viva::{Theme, Viewport};
 
@@ -55,13 +60,13 @@ impl FrameKey {
     }
 }
 
-/// A bounded LRU cache of rendered SVG frames.
+/// A bounded LRU cache of rendered frames, held as JSON string bodies.
 #[derive(Debug)]
 pub struct FrameCache {
     capacity: usize,
     clock: u64,
-    /// key → (last-used tick, rendered SVG).
-    frames: HashMap<FrameKey, (u64, String)>,
+    /// key → (last-used tick, the frame's JSON string body).
+    frames: HashMap<FrameKey, (u64, Arc<str>)>,
     hits: u64,
     misses: u64,
     evictions: u64,
@@ -100,13 +105,13 @@ impl FrameCache {
     }
 
     /// Looks up a frame, refreshing its recency on a hit.
-    pub fn get(&mut self, key: &FrameKey) -> Option<String> {
+    pub fn get(&mut self, key: &FrameKey) -> Option<Arc<str>> {
         self.clock += 1;
         match self.frames.get_mut(key) {
-            Some((used, svg)) => {
+            Some((used, body)) => {
                 *used = self.clock;
                 self.hits += 1;
-                Some(svg.clone())
+                Some(Arc::clone(body))
             }
             None => {
                 self.misses += 1;
@@ -121,13 +126,13 @@ impl FrameCache {
     /// re-checked under the session lock via [`FrameCache::get`], which
     /// is where the authoritative miss is recorded. Counting here too
     /// would double-bill every real miss.
-    pub fn lookup(&mut self, key: &FrameKey) -> Option<String> {
+    pub fn lookup(&mut self, key: &FrameKey) -> Option<Arc<str>> {
         match self.frames.get_mut(key) {
-            Some((used, svg)) => {
+            Some((used, body)) => {
                 self.clock += 1;
                 *used = self.clock;
                 self.hits += 1;
-                Some(svg.clone())
+                Some(Arc::clone(body))
             }
             None => None,
         }
@@ -138,7 +143,7 @@ impl FrameCache {
     /// are dropped eagerly — the session can never render them again,
     /// so they are dead weight, and dropping them keeps the LRU scan
     /// honest about what is actually reusable.
-    pub fn insert(&mut self, key: FrameKey, svg: String) {
+    pub fn insert(&mut self, key: FrameKey, body: Arc<str>) {
         if self.capacity == 0 {
             return;
         }
@@ -156,7 +161,7 @@ impl FrameCache {
             }
         }
         self.clock += 1;
-        self.frames.insert(key, (self.clock, svg));
+        self.frames.insert(key, (self.clock, body));
     }
 }
 
@@ -168,14 +173,28 @@ mod tests {
         FrameKey::new(revision, &Viewport::new(w, 600.0))
     }
 
+    fn body(s: &str) -> Arc<str> {
+        Arc::from(s)
+    }
+
     #[test]
     fn hit_after_insert_miss_after_revision_change() {
         let mut c = FrameCache::new(4);
         assert_eq!(c.get(&key(1, 800.0)), None);
-        c.insert(key(1, 800.0), "<svg1>".into());
-        assert_eq!(c.get(&key(1, 800.0)), Some("<svg1>".into()));
+        c.insert(key(1, 800.0), body("<svg1>"));
+        assert_eq!(c.get(&key(1, 800.0)), Some(body("<svg1>")));
         assert_eq!(c.get(&key(2, 800.0)), None, "new revision misses");
         assert_eq!((c.hits(), c.misses()), (1, 2));
+    }
+
+    #[test]
+    fn hits_share_the_cached_body() {
+        let mut c = FrameCache::new(4);
+        let b = body("\"<svg/>\\n\"");
+        c.insert(key(1, 800.0), Arc::clone(&b));
+        assert!(Arc::ptr_eq(&c.get(&key(1, 800.0)).expect("hit"), &b));
+        assert!(Arc::ptr_eq(&c.lookup(&key(1, 800.0)).expect("hit"), &b));
+        assert_eq!(Arc::strong_count(&b), 2, "the cache holds one reference");
     }
 
     #[test]
@@ -200,24 +219,24 @@ mod tests {
     #[test]
     fn lru_evicts_oldest_and_stale_revisions_drop() {
         let mut c = FrameCache::new(2);
-        c.insert(key(1, 100.0), "a".into());
-        c.insert(key(1, 200.0), "b".into());
-        assert_eq!(c.get(&key(1, 100.0)), Some("a".into())); // refresh a
-        c.insert(key(1, 300.0), "c".into()); // evicts b (LRU)
+        c.insert(key(1, 100.0), body("a"));
+        c.insert(key(1, 200.0), body("b"));
+        assert_eq!(c.get(&key(1, 100.0)), Some(body("a"))); // refresh a
+        c.insert(key(1, 300.0), body("c")); // evicts b (LRU)
         assert_eq!(c.evictions(), 1);
         assert_eq!(c.get(&key(1, 200.0)), None);
-        assert_eq!(c.get(&key(1, 100.0)), Some("a".into()));
+        assert_eq!(c.get(&key(1, 100.0)), Some(body("a")));
         // A newer revision flushes everything older.
-        c.insert(key(5, 100.0), "new".into());
+        c.insert(key(5, 100.0), body("new"));
         assert_eq!(c.len(), 1);
         assert_eq!(c.evictions(), 3, "both rev-1 frames count as evicted");
-        assert_eq!(c.get(&key(5, 100.0)), Some("new".into()));
+        assert_eq!(c.get(&key(5, 100.0)), Some(body("new")));
     }
 
     #[test]
     fn zero_capacity_disables_caching() {
         let mut c = FrameCache::new(0);
-        c.insert(key(1, 800.0), "a".into());
+        c.insert(key(1, 800.0), body("a"));
         assert!(c.is_empty());
         assert_eq!(c.get(&key(1, 800.0)), None);
     }

@@ -141,7 +141,7 @@ impl Json {
 /// for `f64` produces the shortest string that round-trips, so integral
 /// values render without a fractional part (`5`, not `5.0`) and the
 /// output is stable across platforms.
-fn write_number(n: f64, out: &mut String) {
+pub(crate) fn write_number(n: f64, out: &mut String) {
     debug_assert!(n.is_finite(), "JSON cannot carry {n}");
     if n == 0.0 {
         // Collapse -0.0: "-0" and "0" decode equal but compare unequal
@@ -156,7 +156,7 @@ fn write_number(n: f64, out: &mut String) {
 /// Writes `s` as a JSON string literal. Runs of characters that need
 /// no escaping are copied in bulk: every byte that needs an escape is
 /// ASCII, so a run always ends on a character boundary.
-fn write_string(s: &str, out: &mut String) {
+pub(crate) fn write_string(s: &str, out: &mut String) {
     out.reserve(s.len() + 2);
     out.push('"');
     let mut run = 0;

@@ -21,7 +21,7 @@ use viva::Theme;
 use viva_trace::RecoveryMode;
 
 use crate::checkpoint::SessionCheckpoint;
-use crate::json::Json;
+use crate::json::{write_number, write_string, Json};
 use crate::store::TraceEntry;
 
 /// A request from the analyst's client to the server.
@@ -1385,10 +1385,47 @@ impl Command {
     }
 }
 
+/// Room for a frame reply's members before the SVG string.
+const FRAME_PREFIX_BYTES: usize = 64;
+
+/// Writes a frame reply up to its `"svg":` member name: the members
+/// [`Response::Frame`] encodes ahead of the document, in the same
+/// order and number format.
+fn frame_prefix(out: &mut String, revision: u64, cached: bool) {
+    out.push_str(r#"{"ok":"frame","revision":"#);
+    write_number(revision as f64, out);
+    out.push_str(if cached { r#","cached":true,"svg":"# } else { r#","cached":false,"svg":"# });
+}
+
+/// Appends the line [`Response::Frame`] encodes to, given the SVG as
+/// an already escaped JSON string `body` (quotes included, as
+/// [`viva::AnalysisSession::render_json_body`] writes it): the members
+/// ahead of it, the body as is, and the closing brace.
+pub(crate) fn encode_frame_into(out: &mut Vec<u8>, revision: u64, cached: bool, body: &str) {
+    let mut prefix = String::with_capacity(FRAME_PREFIX_BYTES);
+    frame_prefix(&mut prefix, revision, cached);
+    out.reserve(prefix.len() + body.len() + 1);
+    out.extend_from_slice(prefix.as_bytes());
+    out.extend_from_slice(body.as_bytes());
+    out.push(b'}');
+}
+
 impl Response {
     /// Serializes to the canonical one-line JSON form.
     pub fn encode(&self) -> String {
-        self.to_json().encode()
+        match self {
+            // The SVG is nearly all of a frame's line: it is escaped
+            // straight into one buffer reserved up front, never cloned
+            // into a `Json` tree first.
+            Response::Frame { revision, cached, svg } => {
+                let mut out = String::with_capacity(FRAME_PREFIX_BYTES + svg.len() + svg.len() / 8);
+                frame_prefix(&mut out, *revision, *cached);
+                write_string(svg, &mut out);
+                out.push('}');
+                out
+            }
+            _ => self.to_json().encode(),
+        }
     }
 
     fn to_json(&self) -> Json {
@@ -1533,12 +1570,7 @@ impl Response {
                 ("dropped", Json::Num(*dropped as f64)),
                 ("spans", Json::Arr(spans.iter().map(SpanNode::to_json).collect())),
             ]),
-            Response::Frame { revision, cached, svg } => obj(vec![
-                ("ok", Json::Str("frame".into())),
-                ("revision", Json::Num(*revision as f64)),
-                ("cached", Json::Bool(*cached)),
-                ("svg", Json::Str(svg.clone())),
-            ]),
+            Response::Frame { .. } => unreachable!("Response::encode writes frames directly"),
             Response::Checkpointed { session, state } => obj(vec![
                 ("ok", Json::Str("checkpoint".into())),
                 ("session", Json::Str(session.clone())),

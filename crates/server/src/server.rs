@@ -2,7 +2,9 @@
 //!
 //! A [`Server`] owns a [`SessionRegistry`] and turns request lines
 //! into response lines — one in, one out, in order. The same
-//! [`Server::handle_line`] drives every transport:
+//! [`Server::handle_line`] drives every transport (through its
+//! buffer-appending form, which splices a frame's cached JSON body
+//! into the reply without copying it into a `String` first):
 //!
 //! * [`Server::serve`] pumps any `BufRead`/`Write` pair — the stdio
 //!   single-analyst mode;
@@ -65,6 +67,7 @@ use viva_trace::{
 };
 
 use crate::checkpoint::{checkpoint_file_name, SessionCheckpoint};
+use crate::json::Json;
 use crate::poll::{self, PollFd, POLLIN, POLLOUT};
 use crate::protocol::{Command, DeltaNode, ErrorKind, Push, Response, SessionStats, StatsBlock};
 use crate::registry::{LiveStream, ServerLimits, ServerSession, SessionRegistry, SessionSlot};
@@ -297,6 +300,45 @@ struct InflightPermit<'a>(&'a AtomicUsize);
 impl Drop for InflightPermit<'_> {
     fn drop(&mut self) {
         self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// What one command produced: a [`Response`], or a frame whose SVG is
+/// already the JSON string body of its reply — escaped by the encoder
+/// and shared with the frame cache — for a transport to splice in.
+enum Reply {
+    Response(Response),
+    Frame { revision: u64, cached: bool, body: Arc<str> },
+}
+
+impl From<Response> for Reply {
+    fn from(resp: Response) -> Reply {
+        Reply::Response(resp)
+    }
+}
+
+impl Reply {
+    /// The [`Response`] this reply stands for; a frame's body is
+    /// decoded back into the SVG document.
+    fn into_response(self) -> Response {
+        match self {
+            Reply::Response(resp) => resp,
+            Reply::Frame { revision, cached, body } => match Json::parse(&body) {
+                Ok(Json::Str(svg)) => Response::Frame { revision, cached, svg },
+                _ => unreachable!("a frame body is one JSON string"),
+            },
+        }
+    }
+
+    /// Appends the reply's line, without trailing newline — the bytes
+    /// [`Response::encode`] gives for [`Reply::into_response`].
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        match self {
+            Reply::Response(resp) => out.extend_from_slice(resp.encode().as_bytes()),
+            Reply::Frame { revision, cached, body } => {
+                crate::protocol::encode_frame_into(out, *revision, *cached, body)
+            }
+        }
     }
 }
 
@@ -687,22 +729,36 @@ impl Server {
     /// [`Server::handle_line`] on behalf of a registered transport
     /// connection, which is what entitles the line to `subscribe`.
     pub fn handle_line_on(&self, conn: Option<u64>, line: &str) -> Option<String> {
+        let mut out = Vec::new();
+        self.handle_line_into(conn, line, &mut out)
+            .then(|| String::from_utf8(out).expect("replies are UTF-8"))
+    }
+
+    /// [`Server::handle_line_on`], appending the response line
+    /// (without trailing newline) to `out` — a transport's write
+    /// buffer. Returns whether a line was written (blank lines produce
+    /// none). A frame's body is spliced in as the renderer escaped it.
+    pub(crate) fn handle_line_into(
+        &self,
+        conn: Option<u64>,
+        line: &str,
+        out: &mut Vec<u8>,
+    ) -> bool {
         let trimmed = line.trim();
         if trimmed.is_empty() {
-            return None;
+            return false;
         }
         if trimmed.len() > self.registry.limits().max_line_bytes {
-            return Some(
-                err(
-                    ErrorKind::Protocol,
-                    format!(
-                        "request line of {} bytes exceeds the {}-byte limit",
-                        trimmed.len(),
-                        self.registry.limits().max_line_bytes
-                    ),
-                )
-                .encode(),
+            let resp = err(
+                ErrorKind::Protocol,
+                format!(
+                    "request line of {} bytes exceeds the {}-byte limit",
+                    trimmed.len(),
+                    self.registry.limits().max_line_bytes
+                ),
             );
+            out.extend_from_slice(resp.encode().as_bytes());
+            return true;
         }
         // Decode is timed only when tracing is on: the duration becomes
         // the root span's back-dated `frame.decode` child (the root
@@ -710,20 +766,19 @@ impl Server {
         let decode_started = self.recorder.tracer().is_enabled().then(Instant::now);
         let decoded = Command::decode(trimmed);
         let decode_cost = decode_started.map(|t| t.elapsed());
-        let encoded = match decoded {
+        match decoded {
             Ok(cmd) => {
                 // Encode while the admission permit is still held:
-                // serializing a megabyte frame is real CPU, and work
-                // the gate does not cover would overlap admitted
-                // commands and erode their latency under overload.
-                let (response, permit, root) = self.execute_gated(conn, cmd, decode_cost);
-                let encoded = {
+                // writing a megabyte frame is real work, and work the
+                // gate does not cover would overlap admitted commands
+                // and erode their latency under overload.
+                let (reply, permit, root) = self.execute_gated(conn, cmd, decode_cost);
+                {
                     let _enc = self.recorder.tracer().phase("response.encode");
-                    response.encode()
-                };
+                    reply.encode_into(out);
+                }
                 drop(root);
                 drop(permit);
-                encoded
             }
             Err(e) => {
                 let kind = if e.message.starts_with("unknown command") {
@@ -733,10 +788,10 @@ impl Server {
                 } else {
                     ErrorKind::Protocol
                 };
-                err(kind, e.message).encode()
+                out.extend_from_slice(err(kind, e.message).encode().as_bytes());
             }
-        };
-        Some(encoded)
+        }
+        true
     }
 
     /// Executes one decoded command behind the resilience gates:
@@ -746,8 +801,11 @@ impl Server {
     /// stays in the recorder — it never reaches a response). Shed
     /// commands are counted under `server.shed` only: no work of
     /// theirs ever started.
+    ///
+    /// A frame's SVG is decoded from the JSON string body the server
+    /// caches and sends; only in-process callers pay for that.
     pub fn execute(&self, cmd: Command) -> Response {
-        self.execute_gated(None, cmd, None).0
+        self.execute_gated(None, cmd, None).0.into_response()
     }
 
     /// [`Server::execute`], but the admission permit (when one was
@@ -759,13 +817,13 @@ impl Server {
         conn: Option<u64>,
         cmd: Command,
         decode_cost: Option<Duration>,
-    ) -> (Response, Option<InflightPermit<'_>>, SpanGuard) {
+    ) -> (Reply, Option<InflightPermit<'_>>, SpanGuard) {
         if self.is_draining() && !drain_exempt(&cmd) {
             let resp = self.shed(format!(
                 "server is draining; command \"{}\" refused",
                 cmd.name()
             ));
-            return (resp, None, SpanGuard::noop());
+            return (resp.into(), None, SpanGuard::noop());
         }
         // The causal root: one tree per command, named after the
         // command, annotated with its session, stamped with the shard
@@ -795,7 +853,7 @@ impl Server {
             };
             match admitted {
                 Ok(p) => Some(p),
-                Err(resp) => return (resp, None, root),
+                Err(resp) => return (resp.into(), None, root),
             }
         };
         let _span = self.recorder.is_enabled().then(|| {
@@ -807,13 +865,13 @@ impl Server {
         if deadline.expired() {
             // Only reachable with a zero budget: already out of time
             // before any work (the deterministic breach used by tests).
-            return (self.deadline_exceeded(cmd.name(), "the budget is zero"), permit, root);
+            return (self.deadline_exceeded(cmd.name(), "the budget is zero").into(), permit, root);
         }
         (self.dispatch(conn, cmd, &deadline), permit, root)
     }
 
-    fn dispatch(&self, conn: Option<u64>, cmd: Command, deadline: &Deadline) -> Response {
-        match cmd {
+    fn dispatch(&self, conn: Option<u64>, cmd: Command, deadline: &Deadline) -> Reply {
+        Reply::Response(match cmd {
             Command::Ping => Response::Pong,
             Command::Sessions => Response::SessionList { names: self.registry.names() },
             Command::CloseSession { session } => {
@@ -845,8 +903,8 @@ impl Server {
             // `append` creates the session on its first event, so it
             // cannot go through the existing-session path unconditionally.
             Command::Append { session, seq, text } => self.append(session, seq, &text),
-            cmd => self.with_session(conn, cmd, deadline),
-        }
+            cmd => return self.with_session(conn, cmd, deadline),
+        })
     }
 
     /// Mirrors registry occupancy into the `server.sessions` gauge.
@@ -1666,13 +1724,13 @@ impl Server {
     }
 
     /// Dispatches the commands that operate on an existing session.
-    fn with_session(&self, conn: Option<u64>, cmd: Command, deadline: &Deadline) -> Response {
+    fn with_session(&self, conn: Option<u64>, cmd: Command, deadline: &Deadline) -> Reply {
         let name = match session_name(&cmd) {
             Some(n) => n.to_owned(),
-            None => return err(ErrorKind::Protocol, "command carries no session"),
+            None => return err(ErrorKind::Protocol, "command carries no session").into(),
         };
         let Some(handle) = self.registry.get(&name) else {
-            return err(ErrorKind::NoSession, format!("session {name:?} does not exist"));
+            return err(ErrorKind::NoSession, format!("session {name:?} does not exist")).into();
         };
         // Cached-render fast path: answered from the slot's frame
         // cache and revision mirror without ever taking the session
@@ -1680,33 +1738,79 @@ impl Server {
         // a slow command (and the registry lock was only held for the
         // name lookup above). A stale mirror can only cause a cache
         // miss — the locked path below re-checks authoritatively.
-        if let Command::Render { width, height, theme, labels, zoom, pan_x, pan_y, .. } = &cmd {
-            if let Ok(viewport) =
-                render_viewport(*width, *height, *theme, *labels, *zoom, *pan_x, *pan_y)
-            {
-                let revision = handle.revision();
-                let key = crate::cache::FrameKey::new(revision, &viewport);
-                if let Some(svg) = handle.frames().lookup(&key) {
-                    if handle.recorder().is_enabled() {
-                        handle.recorder().counter("cache.hits").inc();
-                    }
-                    return Response::Frame { revision, cached: true, svg };
+        let viewport = match &cmd {
+            Command::Render { width, height, theme, labels, zoom, pan_x, pan_y, .. } => {
+                Some(render_viewport(*width, *height, *theme, *labels, *zoom, *pan_x, *pan_y))
+            }
+            _ => None,
+        };
+        if let Some(Ok(viewport)) = &viewport {
+            let revision = handle.revision();
+            let key = crate::cache::FrameKey::new(revision, viewport);
+            if let Some(body) = handle.frames().lookup(&key) {
+                if handle.recorder().is_enabled() {
+                    handle.recorder().counter("cache.hits").inc();
                 }
+                return Reply::Frame { revision, cached: true, body };
             }
         }
         let mut s = {
             let _wait = self.recorder.tracer().phase("session.lock");
             match self.lock_admitted(&handle) {
                 Ok(g) => g,
-                Err(resp) => return resp,
+                Err(resp) => return resp.into(),
             }
         };
-        let response = self.session_command(conn, &name, &handle, &mut s, cmd, deadline);
+        let reply = match viewport {
+            Some(Ok(viewport)) => self.render_frame(&handle, &mut s, &viewport, deadline),
+            Some(Err(resp)) => resp.into(),
+            None => self.session_command(conn, &name, &mut s, cmd, deadline).into(),
+        };
         // Publish the (possibly bumped) revision for lock-free readers
         // while the session lock is still held, so a fast-path reader
         // never sees a mirror *ahead* of the frames the cache holds.
         handle.publish_revision(s.analysis.revision());
-        response
+        reply
+    }
+
+    /// Answers `render` under the session lock: from the frame cache,
+    /// or by encoding the frame's JSON string body and caching it.
+    fn render_frame(
+        &self,
+        handle: &Arc<SessionSlot>,
+        s: &mut ServerSession,
+        viewport: &Viewport,
+        deadline: &Deadline,
+    ) -> Reply {
+        let revision = s.analysis.revision();
+        let key = crate::cache::FrameKey::new(revision, viewport);
+        let obs = s.analysis.recorder().is_enabled().then(|| s.analysis.recorder().clone());
+        // Authoritative re-check: the lock-free probe in
+        // `with_session` may have missed on a stale revision.
+        if let Some(body) = handle.frames().get(&key) {
+            if let Some(rec) = &obs {
+                rec.counter("cache.hits").inc();
+            }
+            return Reply::Frame { revision, cached: true, body };
+        }
+        let body: Arc<str> = s.analysis.render_json_body(viewport).into();
+        if deadline.expired() {
+            // Too late to be useful: the frame is abandoned and
+            // stays out of the cache (a cached frame must mean
+            // "served within budget").
+            return self.deadline_exceeded("render", "the frame was abandoned").into();
+        }
+        let evicted = {
+            let mut frames = handle.frames();
+            let before = frames.evictions();
+            frames.insert(key, Arc::clone(&body));
+            frames.evictions() - before
+        };
+        if let Some(rec) = &obs {
+            rec.counter("cache.misses").inc();
+            rec.counter("cache.evictions").add(evicted);
+        }
+        Reply::Frame { revision, cached: false, body }
     }
 
     /// One session-scoped command, run under the session lock. `conn`
@@ -1716,7 +1820,6 @@ impl Server {
         &self,
         conn: Option<u64>,
         name: &str,
-        handle: &Arc<SessionSlot>,
         s: &mut ServerSession,
         cmd: Command,
         deadline: &Deadline,
@@ -1853,42 +1956,6 @@ impl Server {
                 },
                 Err(resp) => resp,
             },
-            Command::Render { width, height, theme, labels, zoom, pan_x, pan_y, .. } => {
-                let viewport = match render_viewport(width, height, theme, labels, zoom, pan_x, pan_y)
-                {
-                    Ok(vp) => vp,
-                    Err(resp) => return resp,
-                };
-                let revision = s.analysis.revision();
-                let key = crate::cache::FrameKey::new(revision, &viewport);
-                let obs = s.analysis.recorder().is_enabled().then(|| s.analysis.recorder().clone());
-                // Authoritative re-check: the lock-free probe in
-                // `with_session` may have missed on a stale revision.
-                if let Some(svg) = handle.frames().get(&key) {
-                    if let Some(rec) = &obs {
-                        rec.counter("cache.hits").inc();
-                    }
-                    return Response::Frame { revision, cached: true, svg };
-                }
-                let svg = s.analysis.render(&viewport);
-                if deadline.expired() {
-                    // Too late to be useful: the frame is abandoned and
-                    // stays out of the cache (a cached frame must mean
-                    // "served within budget").
-                    return self.deadline_exceeded("render", "the frame was abandoned");
-                }
-                let evicted = {
-                    let mut frames = handle.frames();
-                    let before = frames.evictions();
-                    frames.insert(key, svg.clone());
-                    frames.evictions() - before
-                };
-                if let Some(rec) = &obs {
-                    rec.counter("cache.misses").inc();
-                    rec.counter("cache.evictions").add(evicted);
-                }
-                Response::Frame { revision, cached: false, svg }
-            }
             Command::Checkpoint { .. } => {
                 let ckpt = capture_session(name, s);
                 self.note("server.checkpoints");
@@ -1930,6 +1997,7 @@ impl Server {
             | Command::Restore { .. }
             | Command::Append { .. }
             | Command::Shutdown => unreachable!("handled by dispatch"),
+            Command::Render { .. } => unreachable!("handled by with_session"),
         }
     }
 
@@ -1962,6 +2030,7 @@ impl Server {
         mut writer: W,
     ) -> io::Result<()> {
         let mut line = String::new();
+        let mut reply = Vec::new();
         loop {
             line.clear();
             let n = match reader.read_line(&mut line) {
@@ -1986,9 +2055,10 @@ impl Server {
                 }
                 return Ok(());
             }
-            if let Some(response) = self.handle_line_on(Some(conn), &line) {
-                writer.write_all(response.as_bytes())?;
-                writer.write_all(b"\n")?;
+            reply.clear();
+            if self.handle_line_into(Some(conn), &line, &mut reply) {
+                reply.push(b'\n');
+                writer.write_all(&reply)?;
             }
             for push in self.take_pushes(conn) {
                 writer.write_all(push.as_bytes())?;
@@ -2368,8 +2438,7 @@ fn process_frames(server: &Server, conn: &mut Conn) {
         let end = search_from + rel;
         match std::str::from_utf8(&conn.read_buf[consumed..=end]) {
             Ok(text) => {
-                if let Some(response) = server.handle_line_on(Some(conn.id), text) {
-                    conn.write_buf.extend_from_slice(response.as_bytes());
+                if server.handle_line_into(Some(conn.id), text, &mut conn.write_buf) {
                     conn.write_buf.push(b'\n');
                 }
             }
@@ -3566,8 +3635,10 @@ mod tests {
         let s = Server::with_metrics(limits);
         let conn = s.open_conn();
         assert!(matches!(append(&s, "s", 1, LIVE_BASE), Response::Appended { .. }));
-        let (r, ..) = s
-            .execute_gated(Some(conn), Command::Subscribe { session: "s".into(), from_seq: None }, None);
+        let r = s
+            .execute_gated(Some(conn), Command::Subscribe { session: "s".into(), from_seq: None }, None)
+            .0
+            .into_response();
         assert!(matches!(r, Response::Subscribed { last_seq: 1, .. }));
         // The subscriber never drains. Queue capacity is 2: the
         // snapshot plus one delta fit, the next delta overflows — the
@@ -3597,11 +3668,14 @@ mod tests {
         assert!(s.take_pushes(conn).is_empty());
         // Re-subscribing from the resume point resynchronizes with a
         // fresh snapshot.
-        let (r, ..) = s.execute_gated(
-            Some(conn),
-            Command::Subscribe { session: "s".into(), from_seq: Some(1) },
-            None,
-        );
+        let r = s
+            .execute_gated(
+                Some(conn),
+                Command::Subscribe { session: "s".into(), from_seq: Some(1) },
+                None,
+            )
+            .0
+            .into_response();
         assert!(matches!(r, Response::Subscribed { last_seq: 6, .. }));
         let pushes = s.take_pushes(conn);
         assert_eq!(pushes.len(), 1);
@@ -3620,8 +3694,10 @@ mod tests {
         let s = server();
         append(&s, "s", 1, LIVE_BASE);
         let conn = s.open_conn();
-        let (r, ..) = s
-            .execute_gated(Some(conn), Command::Subscribe { session: "s".into(), from_seq: None }, None);
+        let r = s
+            .execute_gated(Some(conn), Command::Subscribe { session: "s".into(), from_seq: None }, None)
+            .0
+            .into_response();
         assert!(matches!(r, Response::Subscribed { .. }));
         s.close_conn(conn);
         // Appends after the close publish to nobody — and don't leak
